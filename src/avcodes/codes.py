@@ -295,13 +295,17 @@ def rs_preset() -> CodeSpec:
 
 
 def hermitian_curve_points(field: Field) -> list[tuple[int, int]]:
-    """Torus points of x^(p+1) = y^p + y for q = p^2."""
-    p = field.p
+    """Torus points of x^(s+1) = y^s + y for q = s^2."""
+    if field.m % 2:
+        raise CodeSpecError(
+            f"the Hermitian curve needs a square field order, not {field.q}"
+        )
+    s = field.p ** (field.m // 2)
     pts = []
     for i in range(field.q - 1):
         for j in range(field.q - 1):
-            lhs = field.pow(field.exp_alpha(i), p + 1)
-            rhs = field.add(field.pow(field.exp_alpha(j), p), field.exp_alpha(j))
+            lhs = field.pow(field.exp_alpha(i), s + 1)
+            rhs = field.add(field.pow(field.exp_alpha(j), s), field.exp_alpha(j))
             if lhs == rhs:
                 pts.append((i, j))
     return pts
@@ -324,8 +328,6 @@ HERMITIAN_PHI = (
 def hermitian_preset() -> CodeSpec:
     """[24, 15] dual code on the Hermitian curve over GF(9)."""
     field = build_field(3, 2, modulus=(2, 1, 1), alpha=3)
-    if field.m != 2:
-        raise CodeSpecError("hermitian preset needs a degree-2 extension")
     order = MonomialOrder((field.p, field.p + 1), ((1, 1),))
     psi = hermitian_curve_points(field)
     return make_code(

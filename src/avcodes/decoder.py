@@ -2,9 +2,10 @@
 
 decode() runs the pipeline on a received word: full syndrome array by DFT,
 locator basis by the multidimensional Berlekamp-Massey iteration (seeded
-with the erasure locator when erasure positions are known), syndrome
-extension under the locator recurrences, error values by inverse DFT, and
-parity-verified subtraction.
+with the erasure locator, the interpolated vanishing ideal of the erased
+points, when erasure positions are known), syndrome extension under the
+locator recurrences, error values by inverse DFT, and parity-verified
+subtraction.
 
 The iteration alone can leave locator tail coefficients underdetermined at
 half the order bound, so bms() completes it by certification: it solves the
@@ -28,13 +29,22 @@ from .field import Field
 from .groebner import (
     GroebnerBasis,
     check_point_set,
+    minimal_generators,
     monomial_eval,
-    reduce_basis,
     vanishing_ideal_gb,
 )
-from .orders import enumerate_order, n0_prefix, vec_geq, vec_sub, vec_wrap
+# unused here; kept so the benchmark's span recorder finds decoder.reduce_basis
+from .groebner import reduce_basis  # noqa: F401
+from .orders import n0_prefix, vec_add, vec_geq, vec_sub, vec_wrap
 from .poly import Poly
-from .recurrence import ExtensionError, c_map, include, vec_add_safe
+from .recurrence import (
+    ExtensionError,
+    c_map,
+    fill_steps,
+    include,
+    recurrence_tails,
+    relation_value,
+)
 from .transform import dft, domain_points
 
 
@@ -95,23 +105,6 @@ def solve_affine(field: Field, rows: list[list[int]], rhs: list[int], ncols: int
 # -- footprint bookkeeping
 
 
-def _pivots_of(delta: set, nvars: int) -> list[tuple[int, ...]]:
-    """Minimal points of the complement of a finite order ideal in N_0^N."""
-    if not delta:
-        return [(0,) * nvars]
-    hi = [max(p[i] for p in delta) + 2 for i in range(nvars)]
-    out = []
-    for m in product(*[range(h) for h in hi]):
-        if m in delta:
-            continue
-        if all(
-            m[i] == 0 or m[:i] + (m[i] - 1,) + m[i + 1 :] in delta
-            for i in range(nvars)
-        ):
-            out.append(m)
-    return sorted(out)
-
-
 def _lower_set(point: tuple[int, ...]):
     return product(*[range(c + 1) for c in point])
 
@@ -126,7 +119,7 @@ def _downsets(nvars: int, max_size: int, base: frozenset = frozenset()):
     while frontier:
         grown = set()
         for d in frontier:
-            for t in _pivots_of(set(d), nvars):
+            for t in minimal_generators(d, nvars):
                 d2 = d | {t}
                 if len(d2) <= max_size and d2 not in seen:
                     seen.add(d2)
@@ -141,21 +134,12 @@ def _downsets(nvars: int, max_size: int, base: frozenset = frozenset()):
 @dataclass
 class _Witness:
     span: tuple[int, ...]
-    pivot: tuple[int, ...]
     coeffs: dict
     disc: int
 
 
-def _discrepancy(field: Field, lookup, coeffs: dict, pivot: tuple[int, ...], at) -> int:
-    acc = 0
-    for s, c in coeffs.items():
-        pos = tuple(a - t + e for a, t, e in zip(at, pivot, s))
-        acc = field.add(acc, field.mul(c, lookup(pos)))
-    return acc
-
-
 def _shift(coeffs: dict, delta: tuple[int, ...]) -> dict:
-    return {vec_add_safe(s, delta): c for s, c in coeffs.items()}
+    return {vec_add(s, delta): c for s, c in coeffs.items()}
 
 
 def _combine(field: Field, a: dict, b: dict, ratio: int) -> dict:
@@ -169,44 +153,53 @@ def _combine(field: Field, a: dict, b: dict, ratio: int) -> dict:
     return out
 
 
-def _direct_poly(field, order, lookup, processed, t2, tail, phi1):
-    """Monic candidate with pivot t2 and the given tail support, or None."""
+def _pivot_system(field, lookup, known, t, tail, phi1):
+    """Rows and rhs for the tail of a monic polynomial with pivot t.
+
+    Its shifts must annihilate the array behind `lookup` at every known
+    position at or above t, and it must vanish on the points phi1.
+    """
     rows, rhs = [], []
-    for a in processed:
-        if not vec_geq(a, t2):
+    for a in known:
+        if not vec_geq(a, t):
             continue
         rows.append(
-            [lookup(tuple(x - y + z for x, y, z in zip(a, t2, s))) for s in tail]
+            [lookup(tuple(x - y + z for x, y, z in zip(a, t, s))) for s in tail]
         )
         rhs.append(field.neg(lookup(a)))
     for p in phi1:
         rows.append([monomial_eval(field, s, p) for s in tail])
-        rhs.append(field.neg(monomial_eval(field, t2, p)))
+        rhs.append(field.neg(monomial_eval(field, t, p)))
+    return rows, rhs
+
+
+def _monic(t, tail, coeffs) -> dict:
+    """Terms of the monic polynomial with pivot t and the given tail."""
+    return {t: 1, **{s: c for s, c in zip(tail, coeffs) if c}}
+
+
+def _direct_poly(field, lookup, processed, t2, tail, phi1):
+    """Monic candidate with pivot t2 and the given tail support, or None."""
+    rows, rhs = _pivot_system(field, lookup, processed, t2, tail, phi1)
     sol = solve_affine(field, rows, rhs, ncols=len(tail))
-    if sol is None:
-        return None
-    coeffs = {t2: 1}
-    for s, c in zip(tail, sol[0]):
-        if c:
-            coeffs[s] = c
-    return coeffs
+    return None if sol is None else _monic(t2, tail, sol[0])
 
 
-def _sakata_core(field, order, lookup, region, box_cap, init_polys=None, phi1=(), init_delta=None):
+def _sakata_core(field, order, lookup, region, box_cap, init=None, phi1=()):
     """Minimal recurrence basis of the array behind `lookup` over `region`.
 
     region must be sorted ascending.  Candidates are updated by the classic
     shift/repair rules; when no witness fits, a dense solve fills the slot,
     and an infeasible solve (over tails spanning the whole quotient box,
-    box_cap wide) forces the pivot into the delta set.  With init_polys the
+    box_cap wide) forces the pivot into the delta set.  With init the
     iteration starts from the erasure locator basis; every later candidate
     is a shift or combination of ideal members, so the erasure roots stay
     enforced throughout.
     """
     nvars = order.nvars
-    if init_polys:
-        F = [(g.leading_monomial(order), dict(g.terms)) for g in init_polys]
-        delta = set(init_delta)
+    if init is not None:
+        F = [(g.leading_monomial(order), dict(g.terms)) for g in init.polys]
+        delta = set(init.footprint)
     else:
         F = [((0,) * nvars, {(0,) * nvars: 1})]
         delta = set()
@@ -215,7 +208,7 @@ def _sakata_core(field, order, lookup, region, box_cap, init_polys=None, phi1=()
     for idx, k in enumerate(region):
         fails, keep = [], []
         for t, f in F:
-            d = _discrepancy(field, lookup, f, t, k) if vec_geq(k, t) else 0
+            d = relation_value(field, lookup, f, t, k) if vec_geq(k, t) else 0
             (fails if d else keep).append((t, f, d) if d else (t, f))
         if not fails:
             continue
@@ -228,7 +221,7 @@ def _sakata_core(field, order, lookup, region, box_cap, init_polys=None, phi1=()
             if guard > 4 * len(region) + 16:
                 raise RuntimeError("footprint growth failed to stabilize")
             newF, regrow = [], None
-            for t2 in sorted(_pivots_of(delta, nvars), key=order.key):
+            for t2 in sorted(minimal_generators(delta, nvars), key=order.key):
                 built = next((f for t, f in keep if t == t2), None)
                 if built is None:
                     shiftable = [(t, f) for t, f in keep if vec_geq(t2, t)]
@@ -252,7 +245,7 @@ def _sakata_core(field, order, lookup, region, box_cap, init_polys=None, phi1=()
                     tail = sorted(
                         (s for s in delta if order.compare(s, t2) < 0), key=order.key
                     )
-                    built = _direct_poly(field, order, lookup, processed, t2, tail, phi1)
+                    built = _direct_poly(field, lookup, processed, t2, tail, phi1)
                     if built is None:
                         wide = sorted(
                             (
@@ -262,9 +255,7 @@ def _sakata_core(field, order, lookup, region, box_cap, init_polys=None, phi1=()
                             ),
                             key=order.key,
                         )
-                        built = _direct_poly(
-                            field, order, lookup, processed, t2, wide, phi1
-                        )
+                        built = _direct_poly(field, lookup, processed, t2, wide, phi1)
                     if built is None:
                         # no valid candidate exists at this pivot at all, so
                         # the pivot itself belongs to every valid footprint
@@ -279,12 +270,12 @@ def _sakata_core(field, order, lookup, region, box_cap, init_polys=None, phi1=()
             if any(vec_geq(w.span, span) for w in witnesses):
                 continue
             witnesses = [w for w in witnesses if not vec_geq(span, w.span)]
-            witnesses.append(_Witness(span, t, dict(f), d))
+            witnesses.append(_Witness(span, dict(f), d))
         F = newF
 
     for t, f in F:
         for a in region:
-            if vec_geq(a, t) and _discrepancy(field, lookup, f, t, a) != 0:
+            if vec_geq(a, t) and relation_value(field, lookup, f, t, a) != 0:
                 raise RuntimeError("recurrence basis fails revalidation")
     return F, delta
 
@@ -310,22 +301,9 @@ def _certify(spec: CodeSpec, syndrome: dict, phi1, delta: set) -> GroebnerBasis 
     nvars = order.nvars
     slots = []
     total = 1
-    for t in sorted(_pivots_of(delta, nvars), key=order.key):
+    for t in sorted(minimal_generators(delta, nvars), key=order.key):
         tail = sorted((s for s in delta if order.compare(s, t) < 0), key=order.key)
-        rows, rhs = [], []
-        for a in spec.r_set:
-            if not vec_geq(a, t):
-                continue
-            rows.append(
-                [
-                    syndrome[tuple(x - y + z for x, y, z in zip(a, t, s))]
-                    for s in tail
-                ]
-            )
-            rhs.append(field.neg(syndrome[a]))
-        for p in phi1:
-            rows.append([monomial_eval(field, s, p) for s in tail])
-            rhs.append(field.neg(monomial_eval(field, t, p)))
+        rows, rhs = _pivot_system(field, syndrome.__getitem__, spec.r_set, t, tail, phi1)
         sol = solve_affine(field, rows, rhs, ncols=len(tail))
         if sol is None or len(sol[1]) > _FREE_CAP:
             return None
@@ -343,11 +321,7 @@ def _certify(spec: CodeSpec, syndrome: dict, phi1, delta: set) -> GroebnerBasis 
                     coeffs = [
                         field.add(x, field.mul(v, y)) for x, y in zip(coeffs, basis)
                     ]
-            poly = {t: 1}
-            for s, c in zip(tail, coeffs):
-                if c:
-                    poly[s] = c
-            yield poly
+            yield _monic(t, tail, coeffs)
 
     best = None
     phi1_set = set(phi1)
@@ -367,61 +341,60 @@ def _certify(spec: CodeSpec, syndrome: dict, phi1, delta: set) -> GroebnerBasis 
     return best[1] if best else None
 
 
+def _first_certified(spec: CodeSpec, syndrome: dict, phi1, base: frozenset):
+    """First certified basis on an order ideal containing `base`, or None.
+
+    Candidates go by size up to the decoding radius, which is computed only
+    when `base` itself does not certify.
+    """
+    got = _certify(spec, syndrome, phi1, set(base))
+    if got is not None:
+        return got
+    cap = max(_radius_cap(spec, len(phi1)), len(base))
+    for delta in _downsets(spec.order.nvars, cap, base):
+        if len(delta) > len(base):
+            got = _certify(spec, syndrome, phi1, set(delta))
+            if got is not None:
+                return got
+    return None
+
+
 @lru_cache(maxsize=None)
 def _radius_cap(spec: CodeSpec, n_erasures: int) -> int:
     d = feng_rao_bound(spec)
     return n_erasures + max(0, (d - 1 - n_erasures) // 2)
 
 
-# -- the three locator routes
+# -- the locator routes
+
+
+def _erasure_points(spec: CodeSpec, erasures) -> tuple[tuple[int, ...], ...]:
+    phi1 = check_point_set(erasures, spec.field.q, spec.order.nvars)
+    if not set(phi1) <= set(spec.psi):
+        raise CodeSpecError("erasure positions must lie inside the code positions")
+    return phi1
 
 
 def erasure_locator(spec: CodeSpec, phi1) -> GroebnerBasis:
-    """Locator basis of the known erasure positions, computed two ways.
+    """Locator basis of the known erasure positions.
 
-    Route one runs the recurrence iteration on the periodic indicator
-    power-sum array over the doubled box; route two interpolates the
-    vanishing ideal from the points directly.  The routes agree identically
-    on any input; disagreement is an implementation defect, not a channel
-    event, and raises RuntimeError.
+    This is the reduced basis of the vanishing ideal of the erased points,
+    interpolated from the points directly; the erasures must lie in Psi.
     """
-    field, order, q = spec.field, spec.order, spec.field.q
-    nvars = order.nvars
-    phi1 = check_point_set(phi1, q, nvars)
-    if not set(phi1) <= set(spec.psi):
-        raise CodeSpecError("erasure positions must lie inside the code positions")
-    direct = vanishing_ideal_gb(field, order, phi1)
-
-    cache: dict = {}
-
-    def lookup(pos):
-        w = vec_wrap(pos, q - 1)
-        if w not in cache:
-            acc = 0
-            for p in phi1:
-                acc = field.add(acc, monomial_eval(field, w, p))
-            cache[w] = acc
-        return cache[w]
-
-    region = sorted(product(range(2 * (q - 1)), repeat=nvars), key=order.key)
-    F, _delta = _sakata_core(field, order, lookup, region, q - 1)
-    reduced = reduce_basis(field, order, q, [Poly(field, f) for _t, f in F])
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    if [g.terms for g in reduced] != [g.terms for g in direct.polys]:
-        raise RuntimeError("erasure locator routes disagree")
-    return direct
+    return vanishing_ideal_gb(spec.field, spec.order, _erasure_points(spec, phi1))
 
 
 def bms(spec: CodeSpec, syndrome: dict, init: GroebnerBasis | None = None, phi1=(), region=None) -> GroebnerBasis:
     """Locator basis from syndrome values on the public region R.
 
     With init/phi1 the iteration starts from the erasure locator basis.
-    region defaults to R; passing the whole exponent box instead runs the
-    same iteration on a full (periodic) syndrome array, which is used for
-    validation.  Returns the certified basis whenever certification
-    succeeds, falling back to downset supersets of the iteration footprint
-    up to the decoding radius; otherwise returns the raw iteration result
-    and leaves the verdict to downstream consistency checks.
+    region defaults to R, which must be an initial segment of the order;
+    passing the whole exponent box instead runs the same iteration on a
+    full (periodic) syndrome array.  Returns the certified basis whenever
+    certification succeeds, falling back to downset supersets of the
+    iteration footprint up to the decoding radius; otherwise returns the
+    raw iteration result and leaves the verdict to downstream consistency
+    checks.
     """
     field, order, q = spec.field, spec.order, spec.field.q
     nvars = order.nvars
@@ -444,23 +417,11 @@ def bms(spec: CodeSpec, syndrome: dict, init: GroebnerBasis | None = None, phi1=
         def lookup(pos):
             return syndrome[pos]
     region = sorted(region, key=order.key)
-    init_polys = init.polys if init is not None else None
-    init_delta = set(init.footprint) if init is not None else None
-    F, delta = _sakata_core(
-        field, order, lookup, region, q - 1, init_polys, phi1, init_delta
-    )
+    F, delta = _sakata_core(field, order, lookup, region, q - 1, init, phi1)
 
-    cert = _certify(spec, syndrome, phi1, set(delta))
+    cert = _first_certified(spec, syndrome, phi1, frozenset(delta))
     if cert is not None:
         return cert
-    cap = max(_radius_cap(spec, len(phi1)), len(delta))
-    for d2 in _downsets(nvars, cap, frozenset(delta)):
-        if len(d2) == len(delta):
-            continue
-        cert = _certify(spec, syndrome, phi1, set(d2))
-        if cert is not None:
-            return cert
-
     F = sorted(F, key=lambda p: order.key(p[0]))
     return GroebnerBasis(
         field,
@@ -486,12 +447,7 @@ def locator_oracle(spec: CodeSpec, syndrome: dict, phi1=()) -> GroebnerBasis | N
     base = frozenset(
         vanishing_ideal_gb(field, order, phi1).footprint if phi1 else ()
     )
-    cap = max(_radius_cap(spec, len(phi1)), len(base))
-    for delta in _downsets(order.nvars, cap, base):
-        got = _certify(spec, syndrome, phi1, set(delta))
-        if got is not None:
-            return got
-    return None
+    return _first_certified(spec, syndrome, phi1, base)
 
 
 # -- the decoding pipeline
@@ -506,45 +462,17 @@ def syndrome_array(spec: CodeSpec, u: dict) -> dict:
     return dft(spec.field, include(u, spec.field.q, nvars), nvars)
 
 
-def _extend_symbolic(gb: GroebnerBasis, delta_sorted):
+def _extend_symbolic(gb: GroebnerBasis, delta_sorted) -> dict:
     """Box values as coefficient vectors over the footprint seed values."""
-    field, q1 = gb.field, gb.q - 1
-    dim = len(delta_sorted)
-    arr = {}
-    for i, s in enumerate(delta_sorted):
-        v = [0] * dim
-        v[i] = 1
-        arr[s] = v
-    pending = [a for a in enumerate_order(gb.order, gb.q) if a not in arr]
-    while pending:
-        progressed = False
-        for a in pending:
-            for w, piv in enumerate(gb.pivots):
-                if not all(x >= y for x, y in zip(a, piv)):
-                    continue
-                g = gb.polys[w]
-                operands = {
-                    s: vec_wrap(vec_sub(vec_add_safe(a, s), piv), q1)
-                    for s in g.terms
-                    if s != piv
-                }
-                if any(idx not in arr for idx in operands.values()):
-                    continue
-                acc = [0] * dim
-                for s, idx in operands.items():
-                    c = g.terms[s]
-                    acc = [
-                        field.add(x, field.mul(c, y)) for x, y in zip(acc, arr[idx])
-                    ]
-                arr[a] = [field.neg(x) for x in acc]
-                pending.remove(a)
-                progressed = True
-                break
-            if progressed:
-                break
-        if not progressed:
-            raise ExtensionError("generation stalled: no target has its operands")
-    return arr
+    field, dim = gb.field, len(delta_sorted)
+    sym = {s: [int(i == j) for j in range(dim)] for i, s in enumerate(delta_sorted)}
+    tails = recurrence_tails(gb)
+    for a, w, idx in fill_steps(gb):
+        acc = [0] * dim
+        for c, i in zip(tails[w], idx):
+            acc = [field.add(x, field.mul(c, y)) for x, y in zip(acc, sym[i])]
+        sym[a] = [field.neg(x) for x in acc]
+    return sym
 
 
 def _seed_outside_r(spec: CodeSpec, loc: GroebnerBasis, syn_r: dict):
@@ -583,9 +511,7 @@ def decode(spec: CodeSpec, received: dict, erasures=()) -> DecodeResult:
         raise CodeSpecError(
             "decoding needs R to be an initial segment of the monomial order"
         )
-    phi1 = check_point_set(erasures, q, order.nvars)
-    if not set(phi1) <= set(spec.psi):
-        raise CodeSpecError("erasure positions must lie inside the code positions")
+    phi1 = _erasure_points(spec, erasures)
 
     work = dict(received)
     for p in phi1:

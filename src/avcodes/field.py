@@ -42,18 +42,6 @@ def count_ops():
         _ACTIVE.reset(token)
 
 
-def current_counter() -> OpCounter | None:
-    return _ACTIVE.get()
-
-
-def tally(addsub: int = 0, muldiv: int = 0) -> None:
-    """Bulk-record ops done outside the per-op helpers (vectorized kernels)."""
-    c = _ACTIVE.get()
-    if c is not None:
-        c.addsub += addsub
-        c.muldiv += muldiv
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -311,24 +299,11 @@ class Field:
     # -- conveniences
 
     @property
-    def zero(self) -> int:
-        return 0
-
-    @property
     def one(self) -> int:
         return 1
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def units(self):
         return range(1, self.q)
-
-    def element(self, spec: int | str) -> "FieldElement":
-        v = spec if isinstance(spec, int) else self.parse(spec)
-        if not (0 <= v < self.q):
-            raise ValueError(f"element {spec} out of range for GF({self.q})")
-        return FieldElement(self, v)
 
     def format(self, v: int, int_form: bool = False) -> str:
         if not (0 <= v < self.q):
@@ -369,68 +344,6 @@ class Field:
 
     def __hash__(self) -> int:
         return hash((self.p, self.m, self.modulus, self.alpha))
-
-
-class FieldElement:
-    """Thin operator wrapper around a Field and an int value."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value: int):
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("mixed-field arithmetic")
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.q if self.field.m == 1 else other
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.field, self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.field, self.field.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.field, self.field.sub(v, self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.field, self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.field, self.field.div(self.value, v))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((id(self.field), self.value))
-
-    def __repr__(self) -> str:
-        return self.field.format(self.value)
 
 
 def build_field(

@@ -55,16 +55,23 @@ def footprint_from_pivots(pivots, q: int, nvars: int) -> frozenset:
     return frozenset(m for m in box if not any(vec_geq(m, t) for t in pivots))
 
 
-def minimal_generators(footprint: frozenset, q: int, nvars: int):
-    """Minimal monomials of the box complement of an order ideal."""
-    out = []
-    for m in product(range(q - 1), repeat=nvars):
-        if m in footprint:
-            continue
-        parents = [m[:i] + (m[i] - 1,) + m[i + 1 :] for i in range(nvars) if m[i] > 0]
-        if all(p in footprint for p in parents):
-            out.append(m)
-    return sorted(out)
+def minimal_generators(footprint, nvars: int) -> list[tuple[int, ...]]:
+    """Minimal monomials of N_0^N outside a finite order ideal, sorted.
+
+    Every one is an upper neighbour of the footprint (the origin when the
+    footprint is empty) whose lower neighbours all lie in the footprint.
+    """
+    fp = set(map(tuple, footprint))
+    if not fp:
+        return [(0,) * nvars]
+    above = {m[:i] + (m[i] + 1,) + m[i + 1 :] for m in fp for i in range(nvars)}
+    return sorted(
+        m
+        for m in above - fp
+        if all(
+            m[i] == 0 or m[:i] + (m[i] - 1,) + m[i + 1 :] in fp for i in range(nvars)
+        )
+    )
 
 
 def is_order_ideal(footprint, nvars: int) -> bool:

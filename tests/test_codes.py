@@ -9,6 +9,7 @@ from avcodes.codes import (
     encode_systematic,
     feng_rao_bound,
     from_vector,
+    hermitian_curve_points,
     hermitian_preset,
     is_codeword,
     make_code,
@@ -18,7 +19,7 @@ from avcodes.codes import (
     rs_preset,
     to_vector,
 )
-from avcodes.field import build_field
+from avcodes.field import build_field, count_ops
 from avcodes.orders import MonomialOrder
 from avcodes.transform import domain_points, dot
 
@@ -224,3 +225,43 @@ def test_bruteforce_guard():
     code = hermitian_preset()
     with pytest.raises(CodeSpecError):
         min_distance_bruteforce(code)
+
+
+def test_hermitian_curve_points_gf9_unchanged():
+    field = hermitian_preset().field
+    assert hermitian_curve_points(field) == [
+        (0, 4), (0, 5), (0, 7), (1, 0), (1, 1), (1, 3), (2, 4), (2, 5),
+        (2, 7), (3, 0), (3, 1), (3, 3), (4, 4), (4, 5), (4, 7), (5, 0),
+        (5, 1), (5, 3), (6, 4), (6, 5), (6, 7), (7, 0), (7, 1), (7, 3),
+    ]  # fmt: skip
+
+
+def test_hermitian_curve_points_gf16():
+    # x^5 = y^4 + y over GF(16) has s^3 - s = 60 torus points
+    field = build_field(2, 4)
+    pts = hermitian_curve_points(field)
+    assert len(pts) == 60
+    for i, j in pts:
+        x, y = field.exp_alpha(i), field.exp_alpha(j)
+        assert field.pow(x, 5) == field.add(field.pow(y, 4), y)
+
+
+def test_hermitian_curve_points_need_even_degree():
+    for p, m in ((2, 3), (3, 1), (5, 3)):
+        with pytest.raises(CodeSpecError):
+            hermitian_curve_points(build_field(p, m))
+
+
+def test_encoder_op_counts_are_pinned():
+    # field-op totals of the Hermitian preset encoders; a refactor of the
+    # fill or transform layers must leave them exactly as they are
+    code = hermitian_preset()
+    info = {pt: (3 * i + 1) % 9 for i, pt in enumerate(code.info_positions())}
+    with count_ops() as c:
+        encode_systematic(code, info)
+    assert (c.addsub, c.muldiv) == (3338, 3146)
+    support = sorted(set(code.footprint) - set(code.r_set), key=code.order.key)
+    h = {s: (2 * i + 5) % 9 for i, s in enumerate(support)}
+    with count_ops() as c:
+        encode_dual_nonsystematic(code, h)
+    assert (c.addsub, c.muldiv) == (1392, 1224)

@@ -15,6 +15,8 @@ from avcodes.codes import (
     rs_preset,
 )
 from avcodes.decoder import (
+    _extend_symbolic,
+    _sakata_core,
     bms,
     decode,
     erasure_locator,
@@ -22,9 +24,11 @@ from avcodes.decoder import (
     solve_affine,
     syndrome_array,
 )
-from avcodes.groebner import vanishing_ideal_gb
+from avcodes.field import count_ops
+from avcodes.groebner import monomial_eval, reduce_basis, vanishing_ideal_gb
+from avcodes.orders import vec_wrap
 from avcodes.poly import Poly
-from avcodes.recurrence import c_map
+from avcodes.recurrence import c_map, extend
 
 RS_RECEIVED = [1, 9, 0, 4, 1, 7, 3, 2, 0, 10]
 RS_CODEWORD = [2, 9, 0, 4, 1, 7, 3, 2, 0, 5]
@@ -209,6 +213,38 @@ def test_erasure_locator_single_point():
     assert basis.footprint == frozenset({(0, 0)})
 
 
+def iterated_erasure_locator(spec, phi1):
+    """Erasure locator by the recurrence iteration instead of interpolation.
+
+    Runs the iteration on the periodic indicator power-sum array of phi1
+    over the doubled box (2(q-1))^N and interreduces the resulting basis.
+    """
+    field, order, q = spec.field, spec.order, spec.field.q
+    cache = {}
+
+    def lookup(pos):
+        w = vec_wrap(pos, q - 1)
+        if w not in cache:
+            acc = 0
+            for p in phi1:
+                acc = field.add(acc, monomial_eval(field, w, p))
+            cache[w] = acc
+        return cache[w]
+
+    region = sorted(product(range(2 * (q - 1)), repeat=order.nvars), key=order.key)
+    F, _delta = _sakata_core(field, order, lookup, region, q - 1)
+    reduced = reduce_basis(field, order, q, [Poly(field, f) for _t, f in F])
+    return sorted(reduced, key=lambda g: order.key(g.leading_monomial(order)))
+
+
+def assert_locator_routes_agree(spec, phi1):
+    direct = vanishing_ideal_gb(spec.field, spec.order, list(phi1))
+    iterated = iterated_erasure_locator(spec, phi1)
+    assert [g.terms for g in iterated] == [g.terms for g in direct.polys]
+    assert erasure_locator(spec, phi1).polys == direct.polys
+    assert len(direct.footprint) == len(phi1)
+
+
 def test_erasure_locator_matches_interpolation():
     spec = hermitian_preset()
     sets = [
@@ -219,19 +255,13 @@ def test_erasure_locator_matches_interpolation():
         spec.psi,
     ]
     for phi1 in sets:
-        route_a = erasure_locator(spec, phi1)
-        route_b = vanishing_ideal_gb(spec.field, spec.order, list(phi1))
-        assert route_a.polys == route_b.polys
-        assert len(route_a.footprint) == len(phi1)
+        assert_locator_routes_agree(spec, phi1)
 
 
 def test_rs_erasure_locator_matches_interpolation():
     spec = rs_preset()
     for size in range(1, 5):
-        phi1 = spec.psi[:size]
-        route_a = erasure_locator(spec, phi1)
-        route_b = vanishing_ideal_gb(spec.field, spec.order, list(phi1))
-        assert route_a.polys == route_b.polys
+        assert_locator_routes_agree(spec, spec.psi[:size])
 
 
 # -- decode: error-only patterns
@@ -518,3 +548,28 @@ def test_syndrome_array_requires_coverage():
     spec = rs_preset()
     with pytest.raises(CodeSpecError):
         syndrome_array(spec, {(0,): 1})
+
+
+# -- pinned costs and the coefficient-vector fill
+
+
+def test_errors_only_decode_op_counts_are_pinned():
+    # field-op totals of the criterion-2 three-error decode
+    spec = hermitian_preset()
+    work = {pt: 0 for pt in spec.psi}
+    work.update({(1, 0): 1, (0, 4): 2, (6, 4): 3})
+    with count_ops() as c:
+        result = decode(spec, work)
+    assert result.status == "corrected"
+    assert (c.addsub, c.muldiv) == (4414, 4260)
+
+
+def test_symbolic_fill_matches_scalar_extend_of_unit_seeds():
+    spec = hermitian_preset()
+    gb = vanishing_ideal_gb(spec.field, spec.order, spec.psi[:10])
+    assert not gb.footprint <= set(spec.r_set)
+    delta_sorted = sorted(gb.footprint, key=spec.order.key)
+    sym = _extend_symbolic(gb, delta_sorted)
+    for i in range(len(delta_sorted)):
+        unit = {s: int(j == i) for j, s in enumerate(delta_sorted)}
+        assert {a: v[i] for a, v in sym.items()} == extend(gb, unit)

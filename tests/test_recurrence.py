@@ -13,7 +13,6 @@ from avcodes.recurrence import (
     extend,
     include,
     restrict_a,
-    restrict_omega,
 )
 from avcodes.transform import domain_points, idft
 
@@ -84,7 +83,6 @@ def test_include_restrict():
     f = build_field(11)
     arr = include({(3,): 5}, 11, 1)
     assert arr[(3,)] == 5 and sum(v != 0 for v in arr.values()) == 1
-    assert restrict_omega(arr, [(3,), (4,)]) == {(3,): 5, (4,): 0}
     assert restrict_a(arr, [(0,)]) == {(0,): 0}
     with pytest.raises(ValueError):
         include({(10,): 1}, 11, 1)

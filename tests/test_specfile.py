@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from avcodes.codes import hermitian_preset, rs_preset
+from avcodes.codes import CodeSpecError, hermitian_preset, rs_preset
 from avcodes.field import build_field
 from avcodes.specfile import (
     SpecFileError,
@@ -49,6 +49,21 @@ def test_hermitian_document_matches_preset():
     assert spec.psi == preset.psi
     assert spec.r_set == preset.r_set
     assert (spec.n, spec.k) == (24, 15)
+
+
+def test_hermitian_document_over_gf16():
+    doc = json.loads(json.dumps(HERM_DOC))
+    doc["field"] = {"p": 2, "m": 4}
+    doc["code"].update(weights=[4, 5], weight_cutoff=19)
+    spec = parse_spec_text(json.dumps(doc))
+    assert (spec.n, spec.k) == (60, 46)
+
+
+def test_hermitian_document_rejects_odd_degree():
+    doc = json.loads(json.dumps(HERM_DOC))
+    doc["field"] = {"p": 2, "m": 3}
+    with pytest.raises(CodeSpecError):
+        parse_spec_text(json.dumps(doc))
 
 
 def test_round_trip_preserves_spec():
