@@ -210,23 +210,27 @@ def feng_rao_bound(spec: CodeSpec) -> int:
     if not targets:
         return spec.n + 1
 
-    rho_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+    rho_cache: dict[tuple[int, ...], tuple] = {}
 
     def rho(a, b):
+        """(rho(a, b), its order key)."""
         c = vec_wrap(tuple(x + y for x, y in zip(a, b)), spec.field.q - 1)
         if c not in rho_cache:
-            nf = normal_form(Poly(spec.field, {c: 1}), spec.gb)
-            rho_cache[c] = nf.leading_monomial(order)
+            lm = normal_form(Poly(spec.field, {c: 1}), spec.gb).leading_monomial(order)
+            rho_cache[c] = (lm, order.key(lm))
         return rho_cache[c]
 
     nu: dict[tuple[int, ...], int] = {s: 0 for s in targets}
-    for i, a in enumerate(S):
+    # per b, the order key of the largest rho(a', b) over the a' seen so far:
+    # (a, b) is well-behaving when rho(a, b) exceeds it
+    top: dict[tuple[int, ...], tuple] = {}
+    for a in S:
         for b in S:
-            r = rho(a, b)
-            if r not in nu:
-                continue
-            if all(order.compare(rho(S[j], b), r) < 0 for j in range(i)):
-                nu[r] += 1
+            r, key = rho(a, b)
+            if b not in top or top[b] < key:
+                if r in nu:
+                    nu[r] += 1
+                top[b] = key
     return min(nu.values())
 
 

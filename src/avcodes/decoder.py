@@ -30,6 +30,7 @@ from .groebner import (
     GroebnerBasis,
     check_point_set,
     minimal_generators,
+    monomial_columns,
     monomial_eval,
     vanishing_ideal_gb,
 )
@@ -45,7 +46,7 @@ from .recurrence import (
     recurrence_tails,
     relation_value,
 )
-from .transform import dft, domain_points
+from .transform import box_layout, dft, domain_points
 
 
 @dataclass(frozen=True)
@@ -325,11 +326,11 @@ def _certify(spec: CodeSpec, syndrome: dict, phi1, delta: set) -> GroebnerBasis 
 
     best = None
     phi1_set = set(phi1)
+    cols = monomial_columns(
+        field, {s for t, tail, _p, _n in slots for s in (t, *tail)}, spec.psi
+    )
     for combo in product(*[list(members(s)) for s in slots]):
-        polys = [Poly(field, c) for c in combo]
-        variety = [
-            pt for pt in spec.psi if all(g.eval_at(pt) == 0 for g in polys)
-        ]
+        variety = _variety(field, combo, cols, spec.psi)
         if len(variety) != len(delta) or not phi1_set <= set(variety):
             continue
         gbv = vanishing_ideal_gb(field, order, variety)
@@ -339,6 +340,28 @@ def _certify(spec: CodeSpec, syndrome: dict, phi1, delta: set) -> GroebnerBasis 
         if best is None or key < best[0]:
             best = (key, gbv)
     return best[1] if best else None
+
+
+def _variety(field: Field, polys, cols: dict, points) -> list:
+    """The points where every polynomial (a terms dict) vanishes.
+
+    Like all(g(pt) == 0 for g in polys) at each point: a polynomial is
+    evaluated only at the points where every earlier one vanished, through
+    the monomial columns `cols` over `points`, and each evaluation is
+    charged as its terms' products and sums.
+    """
+    add, mul = field.tables[:2]
+    alive = list(range(len(points)))
+    nops = 0
+    for terms in polys:
+        vals = [0] * len(alive)
+        for e, c in terms.items():
+            mc, col = mul[c], cols[e]
+            vals = [add[x][mc[col[j]]] for x, j in zip(vals, alive)]
+        nops += len(alive) * len(terms)
+        alive = [j for j, v in zip(alive, vals) if v == 0]
+    field.charge(nops, nops)
+    return [points[j] for j in alive]
 
 
 def _first_certified(spec: CodeSpec, syndrome: dict, phi1, base: frozenset):
@@ -465,13 +488,23 @@ def syndrome_array(spec: CodeSpec, u: dict) -> dict:
 def _extend_symbolic(gb: GroebnerBasis, delta_sorted) -> dict:
     """Box values as coefficient vectors over the footprint seed values."""
     field, dim = gb.field, len(delta_sorted)
+    add, mul, neg, _exp = field.tables
+    layout = box_layout(gb.q, gb.order.nvars)
     sym = {s: [int(i == j) for j in range(dim)] for i, s in enumerate(delta_sorted)}
+    vecs = [sym.get(pt) for pt in layout.points]
     tails = recurrence_tails(gb)
-    for a, w, idx in fill_steps(gb):
-        acc = [0] * dim
-        for c, i in zip(tails[w], idx):
-            acc = [field.add(x, field.mul(c, y)) for x, y in zip(acc, sym[i])]
-        sym[a] = [field.neg(x) for x in acc]
+    nterms = nsteps = 0
+    try:
+        for a, w, idx in fill_steps(gb):
+            acc = [0] * dim
+            for c, i in zip(tails[w], idx):
+                mc = mul[c]
+                acc = [add[x][mc[y]] for x, y in zip(acc, vecs[i])]
+            vecs[a] = sym[layout.points[a]] = [neg[x] for x in acc]
+            nterms += len(idx)
+            nsteps += 1
+    finally:
+        field.charge(dim * (nterms + nsteps), dim * nterms)
     return sym
 
 

@@ -296,6 +296,25 @@ class Field:
         """alpha**k by table, k taken mod q-1 (not counted: pure index math)."""
         return self._exp[k % (self.q - 1)]
 
+    # -- bulk kernels
+
+    @property
+    def tables(self) -> tuple[list, list, list, list]:
+        """The (add, mul, neg, exp) tables for kernels that index them directly.
+
+        a + b is add[a][b], a * b is mul[a][b], -a is neg[a] and alpha**k is
+        exp[k % (q-1)].  Lookups are not counted; a kernel reports the field
+        operations it performed with charge().
+        """
+        return self._add, self._mul, self._neg, self._exp
+
+    def charge(self, addsub: int, muldiv: int) -> None:
+        """Count field operations a table kernel performed, in one call."""
+        c = _ACTIVE.get()
+        if c is not None:
+            c.addsub += addsub
+            c.muldiv += muldiv
+
     # -- conveniences
 
     @property

@@ -10,6 +10,7 @@ dependence yields a basis element while the independents form the footprint.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from itertools import product
 
@@ -44,6 +45,11 @@ class GroebnerBasis:
     pivots: tuple[tuple[int, ...], ...]
     footprint: frozenset
     points: tuple[tuple[int, ...], ...] | None = None
+    # index tables derived from this basis by other modules (the recurrence
+    # fill plan), built on first use; they live and die with the basis
+    plans: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def describe(self, int_form: bool = False) -> list[str]:
         return [format_poly(g, self.order, int_form) for g in self.polys]
@@ -96,6 +102,25 @@ def footprint_of(gb: GroebnerBasis) -> frozenset:
 def monomial_eval(field: Field, exps: tuple[int, ...], point: tuple[int, ...]) -> int:
     """x^exps at a torus point of coordinate dlogs (index math, not counted)."""
     return field.exp_alpha(sum(e * d for e, d in zip(exps, point)))
+
+
+def monomial_columns(field: Field, exps, points) -> dict:
+    """{s: [x^s at each point]} for torus points of coordinate dlogs.
+
+    The columns of monomial_eval, built a whole column at a time (index
+    math, not counted).
+    """
+    q1 = field.q - 1
+    exp = field.tables[3]
+    coords = list(zip(*points))
+    cols = {}
+    for s in exps:
+        logs = [0] * len(points)
+        for e, dl in zip(s, coords):
+            if e:
+                logs = [x + e * d for x, d in zip(logs, dl)]
+        cols[s] = [exp[x % q1] for x in logs]
+    return cols
 
 
 def vanishing_ideal_gb(field: Field, order: MonomialOrder, points) -> GroebnerBasis:
@@ -151,7 +176,8 @@ def vanishing_ideal_gb(field: Field, order: MonomialOrder, points) -> GroebnerBa
                 raise ValueError(f"basis element fails to vanish at {pt}")
 
     gb = GroebnerBasis(field, order, q, tuple(polys), tuple(pivots), fp, pts)
-    assert footprint_of(gb) == fp
+    if footprint_of(gb) != fp:
+        raise ValueError("basis pivots do not cut out the interpolated footprint")
     return gb
 
 

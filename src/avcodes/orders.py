@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 LT, EQ, GT = -1, 0, 1
@@ -71,9 +72,18 @@ def vec_wrap(a: tuple[int, ...], period: int) -> tuple[int, ...]:
     return tuple(x % period for x in a)
 
 
+# sorted boxes kept: a decode touches one order and one q, a test run a few dozen
+_SORTED_BOXES = 32
+
+
+@lru_cache(maxsize=_SORTED_BOXES)
+def _sorted_box(order: MonomialOrder, q: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(sorted(product(range(q - 1), repeat=order.nvars), key=order.key))
+
+
 def enumerate_order(order: MonomialOrder, q: int, limit: int | None = None):
     """Exponent vectors of A = [0, q-1)^N in increasing order."""
-    pts = sorted(product(range(q - 1), repeat=order.nvars), key=order.key)
+    pts = _sorted_box(order, q)
     if limit is not None:
         pts = pts[:limit]
     yield from pts

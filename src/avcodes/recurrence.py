@@ -8,16 +8,26 @@ extend() applies it to grow seed values on S to all of A; composing with
 the inverse transform and a restriction gives the isomorphism onto arrays
 supported on the basis's point set (c_map), whose inverse is plain
 power-sum evaluation (c_inverse).
+
+The fill runs on flat box indices (the lex ranks of transform.box_layout).
+The operand indices of every recurrence, worked out by integer arithmetic,
+and the default schedule form a plan built once per basis and kept on it
+(GroebnerBasis.plans), so a code's own bases reuse theirs across encodes
+and a locator's goes with the locator.  The kernels index the field tables
+directly and charge their exact operation counts in bulk (Field.charge).
 """
 
 from __future__ import annotations
 
+import heapq
 import random
+from bisect import bisect_left
+from math import prod
 
 from .field import Field
-from .groebner import GroebnerBasis, monomial_eval
-from .orders import enumerate_order, vec_add, vec_geq, vec_sub, vec_wrap
-from .transform import Array, domain_points, idft, zero_array
+from .groebner import GroebnerBasis, monomial_columns, monomial_eval
+from .orders import enumerate_order, vec_sub
+from .transform import Array, box_layout, idft, zero_array
 
 
 class ExtensionError(ValueError):
@@ -45,46 +55,185 @@ def recurrence_tails(gb: GroebnerBasis) -> list[list[int]]:
     ]
 
 
+class _FillPlan:
+    """Flat-index operand tables of one basis's recurrences.
+
+    Recurrence w covers the box exponents a >= s_w; the operand of its term
+    s at a is the wrapped a + s - s_w.  Coordinate k of a + s - s_w lies in
+    [0, q-1 + max(s_k - s_w,k)), so in a padded box of those extents an
+    operand's padded index is a's plus a per-term offset, and one table maps
+    padded indices back to flat box indices.
+    """
+
+    def __init__(self, gb: GroebnerBasis):
+        nvars, q1 = gb.order.nvars, gb.q - 1
+        layout = box_layout(gb.q, nvars)
+        self.points = layout.points
+        self.index = layout.index
+        deltas = [vec_sub(s, piv) for g, piv in zip(gb.polys, gb.pivots) for s in g.terms]
+        ext = [q1 + max([0] + [d[k] for d in deltas]) for k in range(nvars)]
+        pstride = [prod(ext[k + 1 :]) for k in range(nvars)]
+        bstride = [q1 ** (nvars - 1 - k) for k in range(nvars)]
+        self.wrap = [0]  # padded index -> flat index
+        self.pad = [0]  # flat index -> padded index
+        for k in range(nvars):
+            self.wrap = [b + (x % q1) * bstride[k] for b in self.wrap for x in range(ext[k])]
+            self.pad = [b + x * pstride[k] for b in self.pad for x in range(q1)]
+        self.known = frozenset(self.index[s] for s in gb.footprint if s in self.index)
+        # per recurrence: its covered flat indices in lex order with, for every
+        # term (pivot included, in dict order), the coefficient and the column
+        # of operand indices over them; the padded offsets of its tail terms;
+        # and the covered indices as a set
+        self.checks: list[tuple[list[int], list[tuple[int, list[int]]]]] = []
+        self.tails: list[list[int]] = []
+        self.covered: list[set[int]] = []
+        for g, piv in zip(gb.polys, gb.pivots):
+            flat = [0]
+            for k in range(nvars):
+                flat = [b + x * bstride[k] for b in flat for x in range(piv[k], q1)]
+            pads = [self.pad[a] for a in flat]
+            offs = {s: sum(d * st for d, st in zip(vec_sub(s, piv), pstride)) for s in g.terms}
+            terms = [(c, [self.wrap[p + offs[s]] for p in pads]) for s, c in g.terms.items()]
+            self.checks.append((flat, terms))
+            self.tails.append([off for s, off in offs.items() if s != piv])
+            self.covered.append(set(flat))
+        # the targets: box exponents outside the footprint, in monomial order
+        self.targets = [
+            i for i in map(self.index.__getitem__, enumerate_order(gb.order, gb.q))
+            if i not in self.known
+        ]
+        self.default = None  # (steps, message of the ExtensionError ending them)
+
+    def cover(self, a: int) -> list[int]:
+        """The recurrences covering flat index a, in index order."""
+        return [w for w, up in enumerate(self.covered) if a in up]
+
+    def operands(self, a: int, w: int) -> list[int]:
+        p, wrap = self.pad[a], self.wrap
+        return [wrap[p + off] for off in self.tails[w]]
+
+
+def _plan(gb: GroebnerBasis) -> _FillPlan:
+    plan = gb.plans.get("fill")
+    if plan is None:
+        plan = gb.plans["fill"] = _FillPlan(gb)
+    return plan
+
+
+def _first_ready(plan: _FillPlan, known, a: int, ws):
+    """(w, operands) of the first recurrence in ws ready at a, or None."""
+    for w in ws:
+        ops = plan.operands(a, w)
+        if all(map(known.__getitem__, ops)):
+            return w, ops
+    return None
+
+
+def _schedule(plan: _FillPlan, rng: random.Random | None):
+    """The scheduler behind fill_steps, on flat indices.
+
+    The default schedule walks the targets in monomial order and takes each
+    one that is ready when reached.  One that is not is parked: its
+    recurrences count their operands not yet filled, and when a count
+    drops to zero the target joins a heap by rank, which is served before
+    the walk goes on, since every parked target precedes the walk.  The rng
+    schedule re-samples the pending targets every round.
+    """
+    targets = plan.targets
+    known = bytearray(len(plan.points))
+    for i in plan.known:
+        known[i] = 1
+    if rng is not None:
+        pending = list(range(len(targets)))  # ranks
+        for _ in targets:
+            for r in rng.sample(pending, len(pending)):
+                a = targets[r]
+                ws = plan.cover(a)
+                if not ws:
+                    raise ExtensionError(f"no recurrence covers exponent {plan.points[a]}")
+                rng.shuffle(ws)
+                step = _first_ready(plan, known, a, ws)
+                if step is not None:
+                    break
+            else:
+                raise ExtensionError("generation stalled: no target has its operands")
+            del pending[bisect_left(pending, r)]
+            yield (a, *step)
+            known[a] = 1
+        return
+
+    walk = 0  # rank of the next target the walk reaches
+    heap: list[int] = []  # ranks of parked targets that became ready
+    best: dict[int, int] = {}  # their least ready recurrence
+    parked: dict = {}  # (rank, w) -> [operands, count not yet filled]
+    waiting: dict[int, list] = {}  # flat index -> parked (rank, w) needing it
+    for _ in targets:
+        if heap:
+            r = heapq.heappop(heap)
+            a, w = targets[r], best.pop(r)
+            step = (w, parked[r, w][0])
+        else:
+            while True:
+                if walk == len(targets):
+                    raise ExtensionError("generation stalled: no target has its operands")
+                a = targets[walk]
+                ws = plan.cover(a)
+                if not ws:
+                    raise ExtensionError(f"no recurrence covers exponent {plan.points[a]}")
+                step = _first_ready(plan, known, a, ws)
+                walk += 1
+                if step is not None:
+                    break
+                for w in ws:
+                    ops = plan.operands(a, w)
+                    wait = [i for i in ops if not known[i]]
+                    parked[walk - 1, w] = [ops, len(wait)]
+                    for i in wait:
+                        waiting.setdefault(i, []).append((walk - 1, w))
+        yield (a, *step)
+        known[a] = 1
+        for r, w in waiting.pop(a, ()):
+            entry = parked[r, w]
+            entry[1] -= 1
+            if entry[1] == 0 and not known[targets[r]]:
+                if r not in best:
+                    best[r] = w
+                    heapq.heappush(heap, r)
+                elif w < best[r]:
+                    best[r] = w
+
+
 def fill_steps(gb: GroebnerBasis, rng: random.Random | None = None):
     """Yield the steps (target, recurrence index, operand indices) of a fill.
 
+    Targets and operands are flat box indices (transform.box_layout).
     Starting from the footprint, each step fills one box exponent a outside
     it by recurrence w, whose operands are the wrapped a + s - s_w over the
     tail terms s of g_w; every operand is filled before the step.  The steps
     depend only on the pivots and the term supports.  By default a step takes
     the least pending target in the monomial order that has a ready
-    recurrence, and the lowest-index ready recurrence; with `rng` each round
-    visits targets and recurrences in random order instead.  Raises
-    ExtensionError, after the steps before it, when a visited target has no
-    recurrence or no target is ready.
+    recurrence, and the lowest-index ready recurrence; this schedule is
+    worked out once per basis and replayed.  With `rng` each round visits
+    targets and recurrences in random order instead.  Raises ExtensionError,
+    after the steps before it, when a visited target has no recurrence or
+    no target is ready.
     """
-    q1 = gb.q - 1
-    known = set(gb.footprint)
-    pending = [a for a in enumerate_order(gb.order, gb.q) if a not in known]
-
-    def operands(a, w):
-        g, piv = gb.polys[w], gb.pivots[w]
-        return tuple(
-            vec_wrap(vec_sub(vec_add(a, s), piv), q1) for s in g.terms if s != piv
-        )
-
-    while pending:
-        picks = pending if rng is None else rng.sample(pending, len(pending))
-        for a in picks:
-            ws = [w for w, piv in enumerate(gb.pivots) if vec_geq(a, piv)]
-            if not ws:
-                raise ExtensionError(f"no recurrence covers exponent {a}")
-            if rng is not None:
-                rng.shuffle(ws)
-            steps = ((a, w, operands(a, w)) for w in ws)
-            step = next((st for st in steps if all(i in known for i in st[2])), None)
-            if step is not None:
-                break
-        else:
-            raise ExtensionError("generation stalled: no target has its operands")
-        yield step
-        known.add(a)
-        pending.remove(a)
+    plan = _plan(gb)
+    if rng is not None:
+        yield from _schedule(plan, rng)
+        return
+    if plan.default is None:
+        steps, why = [], None
+        try:
+            for step in _schedule(plan, None):
+                steps.append(step)
+        except ExtensionError as ex:
+            why = str(ex)
+        plan.default = (steps, why)
+    steps, why = plan.default
+    yield from steps
+    if why is not None:
+        raise ExtensionError(why)
 
 
 def extend(gb: GroebnerBasis, seed: dict, rng: random.Random | None = None) -> Array:
@@ -92,28 +241,48 @@ def extend(gb: GroebnerBasis, seed: dict, rng: random.Random | None = None) -> A
 
     The fill follows fill_steps (any admissible schedule, including the
     randomized one `rng` selects, yields the same array).  Every recurrence
-    is re-verified over the whole box afterwards; a violation means the
-    basis does not define a consistent extension.
+    is re-verified over the whole box afterwards, recurrence by recurrence
+    and in lex order within each; a violation means the basis does not
+    define a consistent extension.
     """
     field = gb.field
     if set(seed) != gb.footprint:
         raise ValueError("seed support must equal the basis footprint")
-    tails = recurrence_tails(gb)
-    arr: Array = dict(seed)
-    for a, w, idx in fill_steps(gb, rng):
-        acc = 0
-        for c, i in zip(tails[w], idx):
-            acc = field.add(acc, field.mul(c, arr[i]))
-        arr[a] = field.neg(acc)
+    plan = _plan(gb)
+    add, mul, neg, _exp = field.tables
+    arr = [0] * len(plan.points)
+    for s, v in seed.items():
+        if s in plan.index:
+            arr[plan.index[s]] = v
+    tails = [[mul[c] for c in tail] for tail in recurrence_tails(gb)]
+    nterms = nsteps = 0
+    try:
+        for a, w, idx in fill_steps(gb, rng):
+            acc = 0
+            for mc, i in zip(tails[w], idx):
+                acc = add[acc][mc[arr[i]]]
+            arr[a] = neg[acc]
+            nterms += len(idx)
+            nsteps += 1
+    finally:
+        field.charge(nterms + nsteps, nterms)
 
-    def lookup(pos):
-        return arr[vec_wrap(pos, gb.q - 1)]
-
-    for w, (g, piv) in enumerate(zip(gb.polys, gb.pivots)):
-        for a in domain_points(gb.q, gb.order.nvars):
-            if vec_geq(a, piv) and relation_value(field, lookup, g.terms, piv, a) != 0:
-                raise ExtensionError(f"recurrence {w} violated at {a}")
-    return arr
+    done = 0
+    for w, (flat, terms) in enumerate(plan.checks):
+        vals = [0] * len(flat)
+        for c, col in terms:
+            mc = mul[c]
+            vals = [add[x][mc[arr[i]]] for x, i in zip(vals, col)]
+        if any(vals):
+            bad = next(r for r, v in enumerate(vals) if v)
+            done += (bad + 1) * len(terms)
+            field.charge(done, done)
+            raise ExtensionError(f"recurrence {w} violated at {plan.points[flat[bad]]}")
+        done += len(flat) * len(terms)
+    field.charge(done, done)
+    out = dict(zip(plan.points, arr))
+    out.update(seed)  # footprint exponents outside the box stay as given
+    return out
 
 
 def include(c_psi: dict, q: int, nvars: int) -> Array:
@@ -150,13 +319,18 @@ def c_map(gb: GroebnerBasis, seed: dict, onto) -> dict:
 
 def c_inverse(field: Field, c_psi: dict, exps) -> dict:
     """Power sums h_s = sum_psi c_psi psi^s over the given exponents."""
+    pts = sorted(c_psi)
+    exps = [tuple(s) for s in exps]
+    cols = monomial_columns(field, exps, pts)
+    add, mul = field.tables[:2]
+    rows = [mul[c_psi[pt]] for pt in pts]
     out = {}
     for s in exps:
-        s = tuple(s)
         acc = 0
-        for pt, v in sorted(c_psi.items()):
-            acc = field.add(acc, field.mul(v, monomial_eval(field, s, pt)))
+        for mv, x in zip(rows, cols[s]):
+            acc = add[acc][mv[x]]
         out[s] = acc
+    field.charge(len(exps) * len(pts), len(exps) * len(pts))
     return out
 
 

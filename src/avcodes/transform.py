@@ -5,23 +5,53 @@ tuples; both domains are the box [0, q-1)^N and share the canonical lex
 ordering given by domain_points().  The forward transform sends a torus
 array c to h_a = sum_w c_w w^a; the inverse multiplies by (-1)^N and uses
 negated exponents.  The fast paths factor the transform one axis at a time
-through a pluggable length-(q-1) kernel.
+through a pluggable length-(q-1) kernel.  They run on one flat list in
+domain_points order, whose flat index of a point is its lex rank, over the
+lines of box_layout(); the default kernel indexes the field tables
+directly and charges its exact operation count in one call.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 from .field import Field
 
 Array = dict[tuple[int, ...], int]
 Kernel = Callable[[Field, list[int], bool], list[int]]
 
+# (q, nvars) boxes and (field, direction) twiddle sets kept; each is small
+_LAYOUTS = 16
+
 
 def domain_points(q: int, nvars: int) -> list[tuple[int, ...]]:
     """Canonical (lex) ordering of the box, shared by torus points and exponents."""
     return list(product(range(q - 1), repeat=nvars))
+
+
+class BoxLayout(NamedTuple):
+    """Flat indexing of the box [0, q-1)^N in domain_points order."""
+
+    points: tuple[tuple[int, ...], ...]  # flat index -> point
+    index: MappingProxyType  # point -> flat index
+    lines: tuple  # per axis, a slice of the flat list for each line along it
+
+
+@lru_cache(maxsize=_LAYOUTS)
+def box_layout(q: int, nvars: int) -> BoxLayout:
+    q1 = q - 1
+    points = tuple(product(range(q1), repeat=nvars))
+    lines = []
+    for axis in range(nvars):
+        stride = q1 ** (nvars - 1 - axis)
+        # line starts are the flat indices with a zero coordinate on `axis`
+        starts = [i for i in range(len(points)) if (i // stride) % q1 == 0]
+        lines.append(tuple(slice(b, b + q1 * stride, stride) for b in starts))
+    index = MappingProxyType({pt: i for i, pt in enumerate(points)})
+    return BoxLayout(points, index, tuple(lines))
 
 
 def zero_array(q: int, nvars: int) -> Array:
@@ -32,16 +62,30 @@ def dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def direct_kernel(field: Field, line: list[int], inverse: bool) -> list[int]:
-    """Schoolbook length-(q-1) transform straight off the exp table."""
-    n = len(line)
+@lru_cache(maxsize=_LAYOUTS)
+def _twiddles(field: Field, inverse: bool) -> tuple[tuple[int, ...], ...]:
+    """Row i holds alpha^(+-i*a) for a = 0..q-2."""
+    q1 = field.q - 1
     sign = -1 if inverse else 1
-    out = []
-    for a in range(n):
-        acc = 0
-        for i, v in enumerate(line):
-            acc = field.add(acc, field.mul(v, field.exp_alpha(sign * i * a)))
-        out.append(acc)
+    exp = field.tables[3]
+    return tuple(tuple(exp[(sign * i * a) % q1] for a in range(q1)) for i in range(q1))
+
+
+def direct_kernel(field: Field, line: list[int], inverse: bool) -> list[int]:
+    """Schoolbook length-(q-1) transform over the twiddle table.
+
+    out_a = sum_i line_i alpha^(+-i*a); every product and sum of the
+    schoolbook is charged, including those of zero entries, which the
+    loop skips since they leave the sums unchanged.
+    """
+    n = len(line)
+    add, mul = field.tables[:2]
+    out = [0] * n
+    for v, row in zip(line, _twiddles(field, inverse)):
+        if v:
+            mv = mul[v]
+            out = [add[x][mv[t]] for x, t in zip(out, row)]
+    field.charge(n * n, n * n)
     return out
 
 
@@ -70,24 +114,18 @@ def idft_naive(field: Field, h: Array, nvars: int) -> Array:
 
 
 def _axis_passes(field: Field, arr: Array, nvars: int, inverse: bool, kernel: Kernel) -> Array:
-    q1 = field.q - 1
-    pts = domain_points(field.q, nvars)
-    data = {pt: arr.get(pt, 0) for pt in pts}
-    for axis in range(nvars):
-        new = {}
-        others = product(range(q1), repeat=nvars - 1)
-        for rest in others:
-            line = []
-            for i in range(q1):
-                idx = rest[:axis] + (i,) + rest[axis:]
-                line.append(data[idx])
-            line = kernel(field, line, inverse)
+    layout = box_layout(field.q, nvars)
+    data = [arr.get(pt, 0) for pt in layout.points]
+    neg = field.tables[2]
+    for lines in layout.lines:
+        for line in lines:
+            out = kernel(field, data[line], inverse)
             if inverse:
-                line = [field.neg(v) for v in line]  # one -1 factor per axis
-            for i, v in enumerate(line):
-                new[rest[:axis] + (i,) + rest[axis:]] = v
-        data = new
-    return data
+                out = [neg[v] for v in out]  # one -1 factor per axis
+            data[line] = out
+        if inverse:
+            field.charge(len(data), 0)
+    return dict(zip(layout.points, data))
 
 
 def dft(field: Field, c: Array, nvars: int, fast: bool = True, kernel: Kernel | None = None) -> Array:

@@ -191,6 +191,18 @@ def test_feng_rao_hermitian():
     assert feng_rao_bound(hermitian_preset()) == 7
 
 
+def test_feng_rao_gf16_hermitian_cutoffs():
+    # the bound at weight cutoffs 10..30 of the GF(16) Hermitian code
+    field = build_field(2, 4)
+    order = MonomialOrder((4, 5), ((1, 1),))
+    psi = hermitian_curve_points(field)
+    got = [
+        feng_rao_bound(make_code(field, order, psi, weight_cutoff=c))
+        for c in range(10, 31)
+    ]
+    assert got == [4, 4, 4, 4, 4, 5, 8, 8, 8, 9, 10, 12, 12, 13, 14, 15, 16, 17, 18, 19, 20]
+
+
 def test_feng_rao_sentinel_full_r():
     f = build_field(3, 2, modulus=(2, 1, 1), alpha=3)
     order = MonomialOrder((1, 1))

@@ -8,6 +8,7 @@ from avcodes.codes import (
     CodeSpecError,
     encode_systematic,
     feng_rao_bound,
+    hermitian_curve_points,
     hermitian_preset,
     is_codeword,
     make_code,
@@ -24,9 +25,9 @@ from avcodes.decoder import (
     solve_affine,
     syndrome_array,
 )
-from avcodes.field import count_ops
+from avcodes.field import build_field, count_ops
 from avcodes.groebner import monomial_eval, reduce_basis, vanishing_ideal_gb
-from avcodes.orders import vec_wrap
+from avcodes.orders import MonomialOrder, vec_wrap
 from avcodes.poly import Poly
 from avcodes.recurrence import c_map, extend
 
@@ -399,9 +400,12 @@ def test_hermitian_two_full_lines_underdetermined():
     work = dict(cw)
     for pt in lines:
         work[pt] = 0
-    res = decode(spec, work, erasures=lines)
+    with count_ops() as c:
+        res = decode(spec, work, erasures=lines)
     assert res.status == "failure"
     assert "underdetermined" in res.detail
+    # this is the coefficient-vector fill's route; no benchmark workload takes it
+    assert (c.addsub, c.muldiv) == (3589, 3488)
 
 
 def test_hermitian_parity_set_erasures_decode_beyond_bound():
@@ -562,6 +566,42 @@ def test_errors_only_decode_op_counts_are_pinned():
         result = decode(spec, work)
     assert result.status == "corrected"
     assert (c.addsub, c.muldiv) == (4414, 4260)
+
+
+def test_gf16_mixed_decode_op_counts_are_pinned():
+    # GF(16) c19 Hermitian code, three errors and two erasures
+    field = build_field(2, 4)
+    order = MonomialOrder((4, 5), ((1, 1),))
+    spec = make_code(field, order, hermitian_curve_points(field), weight_cutoff=19)
+    cw = random_codeword(spec, random.Random(5))
+    work = dict(cw)
+    for i, j in enumerate((3, 17, 40)):
+        work[spec.psi[j]] = field.add(work[spec.psi[j]], i + 1)
+    erased = [spec.psi[8], spec.psi[25]]
+    for pt in erased:
+        work[pt] = 7
+    with count_ops() as c:
+        result = decode(spec, work, erasures=erased)
+    assert result.status == "corrected" and result.codeword == cw
+    assert (c.addsub, c.muldiv) == (25977, 25463)
+
+
+def test_inconsistent_extension_decode_op_counts_are_pinned():
+    # four errors, past the bound: the locator's recurrences contradict
+    # each other in the whole-box check of the extension
+    spec = hermitian_preset()
+    work = {pt: 0 for pt in spec.psi}
+    work.update({(1, 1): 1, (3, 3): 8, (5, 3): 2, (6, 4): 8})
+    # the decode reaches the certification fallback, whose radius is computed
+    # (with counted normal forms) once per code; count a decode after that
+    decode(spec, work)
+    with count_ops() as c:
+        result = decode(spec, work)
+    assert result.status == "failure"
+    assert result.detail == (
+        "syndrome extension inconsistent: recurrence 1 violated at (2, 2)"
+    )
+    assert (c.addsub, c.muldiv) == (2228, 2208)
 
 
 def test_symbolic_fill_matches_scalar_extend_of_unit_seeds():
