@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import product
 
 from .codes import CodeSpec, CodeSpecError, feng_rao_bound, parity_check
-from .field import Field
+from .field import Field, count_ops
 from .groebner import (
     GroebnerBasis,
     check_point_set,
@@ -71,23 +71,28 @@ def solve_affine(field: Field, rows: list[list[int]], rhs: list[int], ncols: int
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
+    add, mul, neg, _exp = field.tables
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     pivots: list[int] = []
-    r = 0
+    r = addsub = muldiv = 0
     for col in range(ncols):
         sel = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
         if sel is None:
             continue
         aug[r], aug[sel] = aug[sel], aug[r]
-        inv = field.inv(aug[r][col])
-        aug[r] = [field.mul(inv, x) for x in aug[r]]
+        ms = mul[field.inv(aug[r][col])]
+        prow = aug[r] = [ms[x] for x in aug[r]]
+        muldiv += len(prow)
         for i in range(len(aug)):
             if i != r and aug[i][col] != 0:
-                c = aug[i][col]
-                aug[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(aug[i], aug[r])]
+                nm = mul[neg[aug[i][col]]]
+                aug[i] = [add[x][nm[y]] for x, y in zip(aug[i], prow)]
+                addsub += len(prow)
+                muldiv += len(prow)
         pivots.append(col)
         r += 1
     if any(aug[i][ncols] != 0 for i in range(r, len(aug))):
+        field.charge(addsub, muldiv)
         return None
     part = [0] * ncols
     for i, col in enumerate(pivots):
@@ -98,8 +103,9 @@ def solve_affine(field: Field, rows: list[list[int]], rhs: list[int], ncols: int
         v = [0] * ncols
         v[fc] = 1
         for i, col in enumerate(pivots):
-            v[col] = field.neg(aug[i][fc])
+            v[col] = neg[aug[i][fc]]
         null.append(v)
+    field.charge(addsub + len(null) * len(pivots), muldiv)
     return part, null
 
 
@@ -384,7 +390,10 @@ def _first_certified(spec: CodeSpec, syndrome: dict, phi1, base: frozenset):
 
 @lru_cache(maxsize=None)
 def _radius_cap(spec: CodeSpec, n_erasures: int) -> int:
-    d = feng_rao_bound(spec)
+    # a property of the code, computed once: its own scope keeps its cost
+    # out of the count of whichever decode gets here first
+    with count_ops():
+        d = feng_rao_bound(spec)
     return n_erasures + max(0, (d - 1 - n_erasures) // 2)
 
 

@@ -4,6 +4,10 @@ Elements are plain ints in [0, q).  For m == 1 the int is the residue mod p;
 for m > 1 it packs the coefficient vector of the residue polynomial in base p
 (constant term in the lowest digit).  All arithmetic goes through lookup
 tables built once at construction, so hot loops can stay in int land.
+Construction multiplies polynomials only to walk the powers of alpha (which
+finds or checks the primitive element); the multiplication table then comes
+from exp/log and the addition table from carry-free digit sums, built a
+digit at a time.
 """
 
 from __future__ import annotations
@@ -158,15 +162,15 @@ class Field:
                 raise ValueError("modulus is reducible")
             self.modulus = modulus
 
-        self._build_mul_add_tables()
         if alpha is None:
             alpha = self._default_alpha()
         if not (0 < alpha < q):
             raise ValueError("alpha out of range")
-        if self._order(alpha) != q - 1:
+        powers = self._cycle(alpha)
+        if len(powers) != q - 1:
             raise ValueError(f"alpha {alpha} is not primitive")
         self.alpha = alpha
-        self._build_exp_log()
+        self._build_tables(powers)
 
     # -- construction internals
 
@@ -187,51 +191,49 @@ class Field:
         prod = _poly_mul(_unpack(a, p, m), _unpack(b, p, m), p)
         return _pack(_poly_mod(prod, self.modulus, p), p)
 
-    def _build_mul_add_tables(self) -> None:
-        p, m, q = self.p, self.m, self.q
-        if m == 1:
-            self._add = [[(a + b) % p for b in range(q)] for a in range(q)]
-            self._neg = [(-a) % p for a in range(q)]
-        else:
-            self._add = [
-                [
-                    _pack(
-                        tuple((x + y) % p for x, y in zip(_unpack(a, p, m), _unpack(b, p, m))),
-                        p,
-                    )
-                    for b in range(q)
-                ]
-                for a in range(q)
-            ]
-            self._neg = [_pack(tuple((-x) % p for x in _unpack(a, p, m)), p) for a in range(q)]
-        self._mul = [[self._raw_mul(a, b) for b in range(q)] for a in range(q)]
-
-    def _order(self, a: int) -> int:
-        x, n = a, 1
+    def _cycle(self, a: int) -> list[int]:
+        """[a^0, a^1, ...] up to the first power equal to 1, by _raw_mul."""
+        out, x = [1], a
         while x != 1:
-            x = self._mul[x][a]
-            n += 1
-            if n > self.q:
+            out.append(x)
+            x = self._raw_mul(x, a)
+            if len(out) > self.q:
                 raise ValueError("element order runaway")  # pragma: no cover
-        return n
+        return out
 
     def _default_alpha(self) -> int:
         for a in range(1, self.q):
-            if self._order(a) == self.q - 1:
+            if len(self._cycle(a)) == self.q - 1:
                 return a
         raise ValueError("no primitive element found")  # pragma: no cover
 
-    def _build_exp_log(self) -> None:
-        self._exp = [1] * (self.q - 1)
-        self._log = [-1] * self.q
-        x = 1
-        for i in range(self.q - 1):
-            self._exp[i] = x
+    def _build_tables(self, powers: list[int]) -> None:
+        """All tables from the powers of alpha and the digit structure.
+
+        a * b is alpha^(log a + log b); a + b adds base-p digits without
+        carry, built one digit at a time: with a = a_top p^k + a_low, the
+        row of a is the row of a_low shifted by ((a_top + b_top) mod p) p^k
+        on each block of b_top.
+        """
+        p, q = self.p, self.q
+        self._exp = powers
+        self._log = [-1] * q
+        for i, x in enumerate(powers):
             self._log[x] = i
-            x = self._mul[x][self.alpha]
-        self._inv = [0] * self.q
-        for v in range(1, self.q):
-            self._inv[v] = self._exp[(self.q - 1 - self._log[v]) % (self.q - 1)]
+        exp2, logs = powers + powers, self._log[1:]
+        self._mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
+        self._inv = [0] + [powers[-la] for la in logs]
+        add = [[(x + y) % p for y in range(p)] for x in range(p)]
+        pk = p
+        while pk < q:
+            add = [
+                [((top + bt) % p) * pk + v for bt in range(p) for v in low]
+                for top in range(p)
+                for low in add
+            ]
+            pk *= p
+        self._add = add
+        self._neg = [row.index(0) for row in add]
 
     # -- arithmetic (counted)
 

@@ -6,6 +6,14 @@ monomial products wrap componentwise.  The reduced basis of a point set's
 vanishing ideal is found by point interpolation: walk box monomials in
 increasing order, Gauss-eliminate their evaluation vectors, and each first
 dependence yields a basis element while the independents form the footprint.
+This is the point interpolation of Moeller and Buchberger ("The construction
+of multivariate polynomials with preassigned zeros", EUROCAM 1982).
+
+The interpolation is a table kernel: evaluation vectors come from the exp
+table, elimination indexes the add/mul tables, monomials above a pivot are
+skipped through a flag per flat box index (transform.box_layout), and the
+exact field-operation count is charged in bulk (Field.charge), equal to
+what one counted call per operation would give.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from itertools import product
 from .field import Field
 from .orders import MonomialOrder, enumerate_order, vec_geq, vec_sub, vec_wrap
 from .poly import Poly, format_poly
+from .transform import box_layout
 
 
 def check_point_set(points, q: int, nvars: int) -> tuple[tuple[int, ...], ...]:
@@ -134,51 +143,82 @@ def vanishing_ideal_gb(field: Field, order: MonomialOrder, points) -> GroebnerBa
     nvars = order.nvars
     pts = check_point_set(points, q, nvars)
     n = len(pts)
+    add, mul, neg, _exp = field.tables
+    layout = box_layout(q, nvars)
+    above = bytearray(len(layout.points))  # 1 on the up-sets of the pivots
+    q1 = q - 1
 
     rows = []  # (vector, expr, pivot_col); vector normalized to 1 at pivot_col
+    cols = {}  # each visited monomial's evaluation vector
     footprint: list[tuple[int, ...]] = []
     polys: list[Poly] = []
     pivots: list[tuple[int, ...]] = []
+    # entries updated by reductions (a sub and a mul each) and scalings (a mul)
+    reduced = scaled = 0
 
     for m in enumerate_order(order, q):
-        if any(vec_geq(m, t) for t in pivots):
+        if above[layout.index[m]]:
             continue
-        vec = [monomial_eval(field, m, pt) for pt in pts]
-        expr = {m: field.one}
+        vec = cols[m] = monomial_columns(field, (m,), pts)[m]
+        expr = {m: 1}
+        get = expr.get
         for rvec, rexpr, col in rows:
             c = vec[col]
             if c == 0:
                 continue
-            vec = [field.sub(x, field.mul(c, y)) for x, y in zip(vec, rvec)]
+            nm = mul[neg[c]]
+            vec = [add[x][nm[y]] for x, y in zip(vec, rvec)]
             for e, k in rexpr.items():
-                d = field.sub(expr.get(e, 0), field.mul(c, k))
+                d = add[get(e, 0)][nm[k]]
                 if d:
                     expr[e] = d
-                else:
-                    expr.pop(e, None)
+                else:  # nm[k] != 0, so e was present
+                    del expr[e]
+            reduced += n + len(rexpr)
         col = next((j for j, x in enumerate(vec) if x != 0), None)
         if col is None:
             polys.append(Poly(field, expr))
             pivots.append(m)
+            # the up-set of m: a run along the last axis from each start
+            starts = [0]
+            for k in range(nvars - 1):
+                stride = q1 ** (nvars - 1 - k)
+                starts = [b + x * stride for b in starts for x in range(m[k], q1)]
+            run = b"\x01" * (q1 - m[-1])
+            for b in starts:
+                above[b + m[-1] : b + q1] = run
         else:
-            scale = field.inv(vec[col])
-            vec = [field.mul(x, scale) for x in vec]
-            expr = {e: field.mul(k, scale) for e, k in expr.items()}
+            ms = mul[field.inv(vec[col])]
+            vec = [ms[x] for x in vec]
+            expr = {e: ms[k] for e, k in expr.items()}
             rows.append((vec, expr, col))
             footprint.append(m)
+            scaled += n + len(expr)
+    field.charge(reduced, reduced + scaled)
 
     fp = frozenset(footprint)
     if len(fp) != n:
         raise ValueError(f"footprint size {len(fp)} != point count {n}")
+    # every element at every point, charged like per-point evaluation up to
+    # the first point where one fails
+    done = 0
     for g in polys:
-        for pt in pts:
-            if g.eval_at(pt) != 0:
-                raise ValueError(f"basis element fails to vanish at {pt}")
+        vals = [0] * n
+        for e, c in g.terms.items():
+            mc = mul[c]
+            vals = [add[x][mc[y]] for x, y in zip(vals, cols[e])]
+        if any(vals):
+            bad = next(j for j, v in enumerate(vals) if v)
+            done += (bad + 1) * len(g.terms)
+            field.charge(done, done)
+            raise ValueError(f"basis element fails to vanish at {pts[bad]}")
+        done += n * len(g.terms)
+    field.charge(done, done)
 
-    gb = GroebnerBasis(field, order, q, tuple(polys), tuple(pivots), fp, pts)
-    if footprint_of(gb) != fp:
+    cut = frozenset(pt for pt, up in zip(layout.points, above) if not up)
+    if cut != fp:
         raise ValueError("basis pivots do not cut out the interpolated footprint")
-    return gb
+    return GroebnerBasis(field, order, q, tuple(polys), tuple(pivots), fp, pts)
 
 
 def _divide(poly: Poly, order: MonomialOrder, q: int, by: list[tuple[tuple[int, ...], Poly]]) -> Poly:

@@ -20,6 +20,7 @@ directly and charge their exact operation counts in bulk (Field.charge).
 from __future__ import annotations
 
 import heapq
+import operator
 import random
 from bisect import bisect_left
 from math import prod
@@ -40,10 +41,12 @@ def relation_value(field: Field, lookup, coeffs: dict, pivot: tuple[int, ...], a
     That is sum_s c_s k_(at+s-pivot) over the array behind `lookup`; it is
     zero when the array satisfies the recurrence there.
     """
+    add, mul = field.tables[:2]
+    shift = [a - t for a, t in zip(at, pivot)]
     acc = 0
     for s, c in coeffs.items():
-        pos = tuple(a - t + e for a, t, e in zip(at, pivot, s))
-        acc = field.add(acc, field.mul(c, lookup(pos)))
+        acc = add[acc][mul[c][lookup(tuple(map(operator.add, shift, s)))]]
+    field.charge(len(coeffs), len(coeffs))
     return acc
 
 

@@ -277,3 +277,21 @@ def test_encoder_op_counts_are_pinned():
     with count_ops() as c:
         encode_dual_nonsystematic(code, h)
     assert (c.addsub, c.muldiv) == (1392, 1224)
+
+
+def test_construction_op_counts_are_pinned():
+    # field-op totals of make_code: the interpolation of Psi, and of the
+    # systematic positions when given; a faster interpolation must leave
+    # them exactly as they are
+    for spec, want in ((rs_preset(), (695, 890)), (hermitian_preset(), (7124, 8079))):
+        with count_ops() as c:
+            again = make_code(spec.field, spec.order, spec.psi, r_set=spec.r_set, phi=spec.phi)
+        assert again.gb_phi is not None
+        assert (c.addsub, c.muldiv) == want
+    field = build_field(2, 4)
+    order = MonomialOrder((4, 5), ((1, 1),))
+    psi = hermitian_curve_points(field)
+    with count_ops() as c:
+        spec = make_code(field, order, psi, weight_cutoff=19)
+    assert (spec.n, spec.k) == (60, 46)
+    assert (c.addsub, c.muldiv) == (88681, 93627)

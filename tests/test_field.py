@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from avcodes.field import build_field, count_ops
+from avcodes.field import _pack, _unpack, build_field, count_ops
 
 
 def test_gf11_basics():
@@ -50,8 +50,10 @@ def test_construction_errors():
         build_field(3, 2, modulus=(0, 0, 1))  # x^2 reducible
     with pytest.raises(ValueError):
         build_field(3, 2, modulus=(1, 1))  # wrong degree
-    with pytest.raises(ValueError):
-        build_field(11, alpha=10)  # order 2, not primitive
+    with pytest.raises(ValueError, match="alpha 10 is not primitive"):
+        build_field(11, alpha=10)  # order 2
+    with pytest.raises(ValueError, match="alpha 6 is not primitive"):
+        build_field(2, 4, alpha=6)  # order 5
     with pytest.raises(ValueError):
         build_field(11, modulus=(1, 1))  # modulus with m == 1
 
@@ -88,6 +90,47 @@ def test_field_axioms_exhaustive(p, m):
                 assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
                 assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+TABLE_FIELDS = [
+    (2, 2, None),
+    (2, 3, None),
+    (3, 2, None),
+    (2, 4, None),
+    (5, 2, None),
+    (3, 3, None),
+    (2, 5, None),
+    (2, 6, None),
+    (2, 8, None),
+    (7, 1, None),
+    (11, 1, None),
+    (31, 1, None),
+    (2, 4, 13),  # an explicit primitive element other than the default
+]
+
+
+@pytest.mark.parametrize("p,m,alpha", TABLE_FIELDS)
+def test_tables_are_digit_sums_and_raw_products(p, m, alpha):
+    # the tables come from exp/log and digit blocks; check every pair
+    # against carry-free digit addition and polynomial multiplication
+    f = build_field(p, m, alpha=alpha)
+    q = f.q
+    add, mul, neg, exp = f.tables
+    digits = [_unpack(a, p, m) for a in range(q)]
+    for a in range(q):
+        assert add[a] == [
+            _pack(tuple((x + y) % p for x, y in zip(digits[a], digits[b])), p)
+            for b in range(q)
+        ]
+        assert mul[a] == [f._raw_mul(a, b) for b in range(q)]
+        assert add[a][neg[a]] == 0
+    if alpha is not None:
+        assert f.alpha == alpha
+    x = 1
+    for k in range(q - 1):
+        assert exp[k] == x and f.dlog(x) == k
+        x = f._raw_mul(x, f.alpha)
+    assert x == 1 and sorted(exp) == list(range(1, q))
 
 
 @pytest.mark.parametrize("p,m", [(11, 1), (3, 2), (2, 3)])

@@ -1,11 +1,14 @@
 """The table kernels against per-operation reference implementations.
 
 The references below are the method-call forms of the transform kernel, the
-tuple-keyed fill scheduler and extension loop, the power sums and the
-certification's variety scan: every field operation goes through a counted
-Field method.  The library's kernels index the field tables and charge
-their counts in bulk; they must give the same arrays, the same fill steps
-(default and randomized), the same failures and the same (addsub, muldiv).
+tuple-keyed fill scheduler and extension loop, the power sums, the
+certification's variety scan, the point interpolation of vanishing ideals,
+the dense affine solve and the recurrence relation value: every field
+operation goes through a counted Field method.  The library's kernels index
+the field tables and charge their counts in bulk; they must give the same
+arrays, the same fill steps (default and randomized), the same bases (down
+to the insertion order of each polynomial's terms), the same failures and
+the same (addsub, muldiv).
 """
 
 import random
@@ -15,10 +18,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from avcodes.decoder import _variety
+from avcodes.decoder import _variety, solve_affine
 from avcodes.field import build_field, count_ops
 from avcodes.groebner import (
     GroebnerBasis,
+    check_point_set,
+    footprint_of,
     monomial_columns,
     monomial_eval,
     vanishing_ideal_gb,
@@ -35,6 +40,93 @@ from avcodes.recurrence import (
 from avcodes.transform import box_layout, dft, direct_kernel, domain_points, idft
 
 # -- references: one counted Field call per operation
+
+
+def ref_vanishing_ideal_gb(field, order, points):
+    q = field.q
+    pts = check_point_set(points, q, order.nvars)
+    n = len(pts)
+    rows = []
+    footprint, polys, pivots = [], [], []
+    for m in enumerate_order(order, q):
+        if any(vec_geq(m, t) for t in pivots):
+            continue
+        vec = [monomial_eval(field, m, pt) for pt in pts]
+        expr = {m: field.one}
+        for rvec, rexpr, col in rows:
+            c = vec[col]
+            if c == 0:
+                continue
+            vec = [field.sub(x, field.mul(c, y)) for x, y in zip(vec, rvec)]
+            for e, k in rexpr.items():
+                d = field.sub(expr.get(e, 0), field.mul(c, k))
+                if d:
+                    expr[e] = d
+                else:
+                    expr.pop(e, None)
+        col = next((j for j, x in enumerate(vec) if x != 0), None)
+        if col is None:
+            polys.append(Poly(field, expr))
+            pivots.append(m)
+        else:
+            scale = field.inv(vec[col])
+            vec = [field.mul(x, scale) for x in vec]
+            expr = {e: field.mul(k, scale) for e, k in expr.items()}
+            rows.append((vec, expr, col))
+            footprint.append(m)
+    fp = frozenset(footprint)
+    if len(fp) != n:
+        raise ValueError(f"footprint size {len(fp)} != point count {n}")
+    for g in polys:
+        for pt in pts:
+            if g.eval_at(pt) != 0:
+                raise ValueError(f"basis element fails to vanish at {pt}")
+    gb = GroebnerBasis(field, order, q, tuple(polys), tuple(pivots), fp, pts)
+    if footprint_of(gb) != fp:
+        raise ValueError("basis pivots do not cut out the interpolated footprint")
+    return gb
+
+
+def ref_solve_affine(field, rows, rhs, ncols=None):
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        sel = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        inv = field.inv(aug[r][col])
+        aug[r] = [field.mul(inv, x) for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][col] != 0:
+                c = aug[i][col]
+                aug[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(aug[i], aug[r])]
+        pivots.append(col)
+        r += 1
+    if any(aug[i][ncols] != 0 for i in range(r, len(aug))):
+        return None
+    part = [0] * ncols
+    for i, col in enumerate(pivots):
+        part[col] = aug[i][ncols]
+    null = []
+    for fc in (c for c in range(ncols) if c not in set(pivots)):
+        v = [0] * ncols
+        v[fc] = 1
+        for i, col in enumerate(pivots):
+            v[col] = field.neg(aug[i][fc])
+        null.append(v)
+    return part, null
+
+
+def ref_relation_value(field, lookup, coeffs, pivot, at):
+    acc = 0
+    for s, c in coeffs.items():
+        pos = tuple(a - t + e for a, t, e in zip(at, pivot, s))
+        acc = field.add(acc, field.mul(c, lookup(pos)))
+    return acc
 
 
 def ref_kernel(field, line, inverse):
@@ -111,7 +203,7 @@ def ref_extend(gb, seed, rng=None):
 
     for w, (g, piv) in enumerate(zip(gb.polys, gb.pivots)):
         for a in domain_points(gb.q, gb.order.nvars):
-            if vec_geq(a, piv) and relation_value(field, lookup, g.terms, piv, a) != 0:
+            if vec_geq(a, piv) and ref_relation_value(field, lookup, g.terms, piv, a) != 0:
                 raise ExtensionError(f"recurrence {w} violated at {a}")
     return arr
 
@@ -145,6 +237,16 @@ def counted(fn, *args, **kwargs):
     return out, (c.addsub, c.muldiv)
 
 
+def shape(gb):
+    """Everything the interpolation decides, term insertion order included."""
+    return (
+        gb.pivots,
+        [list(g.terms.items()) for g in gb.polys],
+        gb.footprint,
+        gb.points,
+    )
+
+
 def as_tuples(gb, steps):
     pts = box_layout(gb.q, gb.order.nvars).points
     return [(pts[a], w, tuple(pts[i] for i in idx)) for a, w, idx in steps]
@@ -174,18 +276,39 @@ SHAPES = [(q, n) for q in FIELDS for n in (1, 2, 3) if (q - 1) ** n <= 512]
 
 
 @st.composite
-def bases(draw):
-    """A random field, order and point set, with the point set's basis."""
+def orders(draw):
+    """A random field and monomial order, with the box of its torus."""
     q, nvars = draw(st.sampled_from(SHAPES))
-    field = FIELDS[q]()
     weights = tuple(draw(st.integers(1, 3)) for _ in range(nvars))
     tiebreak = tuple(
         draw(st.lists(st.tuples(st.integers(0, nvars - 1), st.sampled_from((-1, 1))), max_size=2))
     )
-    order = MonomialOrder(weights, tiebreak)
-    box = domain_points(q, nvars)
+    return FIELDS[q](), MonomialOrder(weights, tiebreak), domain_points(q, nvars)
+
+
+@st.composite
+def bases(draw):
+    """A random field, order and point set, with the point set's basis."""
+    field, order, box = draw(orders())
     pts = draw(st.lists(st.sampled_from(box), min_size=1, max_size=8, unique=True))
     return vanishing_ideal_gb(field, order, pts)
+
+
+@st.composite
+def point_sets(draw):
+    """A random field, order and point set: empty, one point, the whole
+    torus (on boxes of at most 64 points) or up to 12 random points."""
+    field, order, box = draw(orders())
+    kind = draw(st.sampled_from(("empty", "single", "full", "random")))
+    if kind == "empty":
+        pts = []
+    elif kind == "single":
+        pts = [draw(st.sampled_from(box))]
+    elif kind == "full" and len(box) <= 64:
+        pts = box
+    else:
+        pts = draw(st.lists(st.sampled_from(box), min_size=1, max_size=12, unique=True))
+    return field, order, pts
 
 
 @st.composite
@@ -271,6 +394,89 @@ def test_power_sums_and_variety_scan_match_reference(gb, k):
     )
     assert all(len(c) == len(points) for c in cols.values())
     assert all(v == monomial_eval(field, e, pt) for e, c in cols.items() for v, pt in zip(c, points))
+
+
+@PROPERTY
+@given(point_sets())
+def test_interpolation_matches_reference(case):
+    field, order, pts = case
+    got, got_ops = counted(vanishing_ideal_gb, field, order, pts)
+    want, want_ops = counted(ref_vanishing_ideal_gb, field, order, pts)
+    assert shape(got) == shape(want)
+    assert got_ops == want_ops
+
+
+@st.composite
+def systems(draw):
+    """A random field and linear system: `rank` random rows plus combinations
+    of them (zero rows when rank is 0), with a consistent or a random rhs."""
+    q = draw(st.sampled_from(sorted(FIELDS)))
+    field = FIELDS[q]()
+    ncols = draw(st.integers(0, 6))
+    nrows = draw(st.integers(0, 7))
+    rank = draw(st.integers(0, nrows))
+    elem = st.integers(0, q - 1) | st.just(0)
+    vector = st.lists(elem, min_size=ncols, max_size=ncols)
+    rows = [draw(vector) for _ in range(rank)]
+    for _ in range(nrows - rank):
+        row = [0] * ncols
+        for b in rows[:rank]:
+            c = draw(elem)
+            row = [field.add(x, field.mul(c, y)) for x, y in zip(row, b)]
+        rows.append(row)
+    rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        x = draw(vector)
+        rhs = [0] * nrows
+        for i, row in enumerate(rows):
+            for a, b in zip(row, x):
+                rhs[i] = field.add(rhs[i], field.mul(a, b))
+    else:
+        rhs = [draw(elem) for _ in range(nrows)]
+    give_ncols = not rows or draw(st.booleans())
+    return field, rows, rhs, ncols if give_ncols else None
+
+
+@PROPERTY
+@given(systems())
+def test_solve_affine_matches_reference(case):
+    field, rows, rhs, ncols = case
+    assert counted(solve_affine, field, rows, rhs, ncols) == counted(
+        ref_solve_affine, field, rows, rhs, ncols
+    )
+
+
+def test_solve_affine_edge_systems_match_reference():
+    f = FIELDS[7]()
+    cases = [
+        ([], [], 3),  # no equations: every unknown is free
+        ([], [], 0),
+        ([[0, 0]], [1], None),  # 0 = 1
+        ([[1, 2], [2, 4]], [3, 5], None),  # dependent rows, inconsistent
+        ([[1, 2], [2, 4]], [3, 6], None),  # dependent rows, consistent
+        ([[0, 3, 1], [5, 0, 0]], [2, 4], None),
+    ]
+    for rows, rhs, ncols in cases:
+        got = counted(solve_affine, f, rows, rhs, ncols)
+        assert got == counted(ref_solve_affine, f, rows, rhs, ncols)
+    assert counted(solve_affine, f, [[0, 0]], [1])[0] is None
+    assert counted(solve_affine, f, [], [], 3)[0] == ([0, 0, 0], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+@PROPERTY
+@given(bases(), st.integers(0, 2**32 - 1))
+def test_relation_value_matches_reference(gb, k):
+    rng = random.Random(k)
+    box = domain_points(gb.q, gb.order.nvars)
+    arr = {pt: rng.randrange(gb.q) for pt in box}
+
+    def lookup(pos):
+        return arr[vec_wrap(pos, gb.q - 1)]
+
+    for g, piv in zip(gb.polys, gb.pivots):
+        at = tuple(rng.randrange(t, gb.q - 1) for t in piv)
+        got = counted(relation_value, gb.field, lookup, g.terms, piv, at)
+        assert got == counted(ref_relation_value, gb.field, lookup, g.terms, piv, at)
 
 
 def test_inconsistent_basis_fails_like_reference():
