@@ -36,7 +36,7 @@ from .groebner import (
 )
 # unused here; kept so the benchmark's span recorder finds decoder.reduce_basis
 from .groebner import reduce_basis  # noqa: F401
-from .orders import n0_prefix, vec_add, vec_geq, vec_sub, vec_wrap
+from .orders import vec_add, vec_geq, vec_sub
 from .poly import Poly
 from .recurrence import (
     ExtensionError,
@@ -46,7 +46,7 @@ from .recurrence import (
     recurrence_tails,
     relation_value,
 )
-from .transform import box_layout, dft, domain_points
+from .transform import box_layout, dft
 
 
 @dataclass(frozen=True)
@@ -192,16 +192,17 @@ def _direct_poly(field, lookup, processed, t2, tail, phi1):
     return None if sol is None else _monic(t2, tail, sol[0])
 
 
-def _sakata_core(field, order, lookup, region, box_cap, init=None, phi1=()):
+def _sakata_core(field, order, lookup, region, init=None, phi1=()):
     """Minimal recurrence basis of the array behind `lookup` over `region`.
 
     region must be sorted ascending.  Candidates are updated by the classic
-    shift/repair rules; when no witness fits, a dense solve fills the slot,
-    and an infeasible solve (over tails spanning the whole quotient box,
-    box_cap wide) forces the pivot into the delta set.  With init the
-    iteration starts from the erasure locator basis; every later candidate
-    is a shift or combination of ideal members, so the erasure roots stay
-    enforced throughout.
+    shift/repair rules; when no witness fits, a dense solve over the delta
+    monomials below the pivot fills the slot, and an infeasible solve forces
+    the pivot into the delta set: a tail over any wider support would reduce
+    into delta by shifts of the candidates already built, so it cannot exist
+    either.  With init the iteration starts from the erasure locator basis;
+    every later candidate is a shift or combination of ideal members, so the
+    erasure roots stay enforced throughout.
     """
     nvars = order.nvars
     if init is not None:
@@ -253,16 +254,6 @@ def _sakata_core(field, order, lookup, region, box_cap, init=None, phi1=()):
                         (s for s in delta if order.compare(s, t2) < 0), key=order.key
                     )
                     built = _direct_poly(field, lookup, processed, t2, tail, phi1)
-                    if built is None:
-                        wide = sorted(
-                            (
-                                s
-                                for s in product(range(box_cap), repeat=nvars)
-                                if order.compare(s, t2) < 0
-                            ),
-                            key=order.key,
-                        )
-                        built = _direct_poly(field, lookup, processed, t2, wide, phi1)
                     if built is None:
                         # no valid candidate exists at this pivot at all, so
                         # the pivot itself belongs to every valid footprint
@@ -416,40 +407,27 @@ def erasure_locator(spec: CodeSpec, phi1) -> GroebnerBasis:
     return vanishing_ideal_gb(spec.field, spec.order, _erasure_points(spec, phi1))
 
 
-def bms(spec: CodeSpec, syndrome: dict, init: GroebnerBasis | None = None, phi1=(), region=None) -> GroebnerBasis:
+def bms(spec: CodeSpec, syndrome: dict, init: GroebnerBasis | None = None, phi1=()) -> GroebnerBasis:
     """Locator basis from syndrome values on the public region R.
 
-    With init/phi1 the iteration starts from the erasure locator basis.
-    region defaults to R, which must be an initial segment of the order;
-    passing the whole exponent box instead runs the same iteration on a
-    full (periodic) syndrome array.  Returns the certified basis whenever
-    certification succeeds, falling back to downset supersets of the
-    iteration footprint up to the decoding radius; otherwise returns the
-    raw iteration result and leaves the verdict to downstream consistency
-    checks.
+    R must be an initial segment of the monomial order.  With init/phi1 the
+    iteration starts from the erasure locator basis.  Returns the certified
+    basis whenever certification succeeds, falling back to downset
+    supersets of the iteration footprint up to the decoding radius;
+    otherwise returns the raw iteration result and leaves the verdict to
+    downstream consistency checks.
     """
     field, order, q = spec.field, spec.order, spec.field.q
-    nvars = order.nvars
     syndrome = {tuple(a): v for a, v in syndrome.items()}
     phi1 = tuple(tuple(p) for p in phi1)
-    if region is None:
-        region = list(spec.r_set)
-    else:
-        region = [tuple(a) for a in region]
-    if not set(region) <= set(syndrome):
+    if not set(spec.r_set) <= set(syndrome):
         raise CodeSpecError("syndrome must cover every region position")
-    if set(region) == set(domain_points(q, nvars)):
-        def lookup(pos):
-            return syndrome[vec_wrap(pos, q - 1)]
-    else:
-        if sorted(region, key=order.key) != n0_prefix(order, len(region)):
-            raise CodeSpecError(
-                "syndrome region must be an initial segment of the monomial order"
-            )
-        def lookup(pos):
-            return syndrome[pos]
-    region = sorted(region, key=order.key)
-    F, delta = _sakata_core(field, order, lookup, region, q - 1, init, phi1)
+    if not spec.syndrome_is_prefix():
+        raise CodeSpecError(
+            "syndrome region must be an initial segment of the monomial order"
+        )
+    region = sorted(spec.r_set, key=order.key)
+    F, delta = _sakata_core(field, order, syndrome.__getitem__, region, init, phi1)
 
     cert = _first_certified(spec, syndrome, phi1, frozenset(delta))
     if cert is not None:

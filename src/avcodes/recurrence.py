@@ -2,16 +2,16 @@
 
 A reduced Groebner basis with footprint S defines, for each pivot s_w, the
 recurrence  k_a = -sum_s g_s^(w) k_(a+s-s_w)  with indices wrapped into the
-box.  fill_steps() schedules, from the pivots and term supports alone, the
-order in which these recurrences fill the exponent box A outside S, and
-extend() applies it to grow seed values on S to all of A; composing with
-the inverse transform and a restriction gives the isomorphism onto arrays
-supported on the basis's point set (c_map), whose inverse is plain
-power-sum evaluation (c_inverse).
+box.  fill_steps() lists, from the pivots and term supports alone, the
+steps that fill the exponent box A outside S in one pass in the monomial
+order, and extend() applies them to grow seed values on S to all of A;
+composing with the inverse transform and a restriction gives the
+isomorphism onto arrays supported on the basis's point set (c_map), whose
+inverse is plain power-sum evaluation (c_inverse).
 
 The fill runs on flat box indices (the lex ranks of transform.box_layout).
 The operand indices of every recurrence, worked out by integer arithmetic,
-and the default schedule form a plan built once per basis and kept on it
+and the default steps form a plan built once per basis and kept on it
 (GroebnerBasis.plans), so a code's own bases reuse theirs across encodes
 and a locator's goes with the locator.  The kernels index the field tables
 directly and charge their exact operation counts in bulk (Field.charge).
@@ -19,7 +19,6 @@ directly and charge their exact operation counts in bulk (Field.charge).
 
 from __future__ import annotations
 
-import heapq
 import operator
 import random
 from bisect import bisect_left
@@ -27,7 +26,7 @@ from math import prod
 
 from .field import Field
 from .groebner import GroebnerBasis, monomial_columns, monomial_eval
-from .orders import enumerate_order, vec_sub
+from .orders import enumerate_order, vec_geq, vec_sub
 from .transform import Array, box_layout, idft, zero_array
 
 
@@ -59,7 +58,7 @@ def recurrence_tails(gb: GroebnerBasis) -> list[list[int]]:
 
 
 class _FillPlan:
-    """Flat-index operand tables of one basis's recurrences.
+    """Flat-index operand tables and default fill of one basis's recurrences.
 
     Recurrence w covers the box exponents a >= s_w; the operand of its term
     s at a is the wrapped a + s - s_w.  Coordinate k of a + s - s_w lies in
@@ -73,6 +72,7 @@ class _FillPlan:
         layout = box_layout(gb.q, nvars)
         self.points = layout.points
         self.index = layout.index
+        self.pivots = gb.pivots
         deltas = [vec_sub(s, piv) for g, piv in zip(gb.polys, gb.pivots) for s in g.terms]
         ext = [q1 + max([0] + [d[k] for d in deltas]) for k in range(nvars)]
         pstride = [prod(ext[k + 1 :]) for k in range(nvars)]
@@ -85,12 +85,11 @@ class _FillPlan:
         self.known = frozenset(self.index[s] for s in gb.footprint if s in self.index)
         # per recurrence: its covered flat indices in lex order with, for every
         # term (pivot included, in dict order), the coefficient and the column
-        # of operand indices over them; the padded offsets of its tail terms;
-        # and the covered indices as a set
+        # of operand indices over them; and the padded offsets of its tail terms
         self.checks: list[tuple[list[int], list[tuple[int, list[int]]]]] = []
         self.tails: list[list[int]] = []
-        self.covered: list[set[int]] = []
-        for g, piv in zip(gb.polys, gb.pivots):
+        owner: list[int | None] = [None] * len(self.points)  # least covering w
+        for w, (g, piv) in enumerate(zip(gb.polys, gb.pivots)):
             flat = [0]
             for k in range(nvars):
                 flat = [b + x * bstride[k] for b in flat for x in range(piv[k], q1)]
@@ -99,17 +98,28 @@ class _FillPlan:
             terms = [(c, [self.wrap[p + offs[s]] for p in pads]) for s, c in g.terms.items()]
             self.checks.append((flat, terms))
             self.tails.append([off for s, off in offs.items() if s != piv])
-            self.covered.append(set(flat))
+            for a in flat:
+                if owner[a] is None:
+                    owner[a] = w
         # the targets: box exponents outside the footprint, in monomial order
         self.targets = [
             i for i in map(self.index.__getitem__, enumerate_order(gb.order, gb.q))
             if i not in self.known
         ]
-        self.default = None  # (steps, message of the ExtensionError ending them)
+        # the default fill, up to the first target no recurrence covers
+        self.steps: list[tuple[int, int, list[int]]] = []
+        self.why = None  # message of the ExtensionError ending the steps
+        for a in self.targets:
+            w = owner[a]
+            if w is None:
+                self.why = f"no recurrence covers exponent {self.points[a]}"
+                break
+            self.steps.append((a, w, self.operands(a, w)))
 
     def cover(self, a: int) -> list[int]:
         """The recurrences covering flat index a, in index order."""
-        return [w for w, up in enumerate(self.covered) if a in up]
+        pt = self.points[a]
+        return [w for w, piv in enumerate(self.pivots) if vec_geq(pt, piv)]
 
     def operands(self, a: int, w: int) -> list[int]:
         p, wrap = self.pad[a], self.wrap
@@ -132,78 +142,30 @@ def _first_ready(plan: _FillPlan, known, a: int, ws):
     return None
 
 
-def _schedule(plan: _FillPlan, rng: random.Random | None):
-    """The scheduler behind fill_steps, on flat indices.
+def _random_steps(plan: _FillPlan, rng: random.Random):
+    """The rng schedule behind fill_steps, on flat indices.
 
-    The default schedule walks the targets in monomial order and takes each
-    one that is ready when reached.  One that is not is parked: its
-    recurrences count their operands not yet filled, and when a count
-    drops to zero the target joins a heap by rank, which is served before
-    the walk goes on, since every parked target precedes the walk.  The rng
-    schedule re-samples the pending targets every round.
+    Every round visits the pending targets, and at each one its covering
+    recurrences, in random order, and takes the first ready one.  The least
+    pending target is always ready, so every round ends in a step or at a
+    target no recurrence covers.
     """
     targets = plan.targets
-    known = bytearray(len(plan.points))
-    for i in plan.known:
-        known[i] = 1
-    if rng is not None:
-        pending = list(range(len(targets)))  # ranks
-        for _ in targets:
-            for r in rng.sample(pending, len(pending)):
-                a = targets[r]
-                ws = plan.cover(a)
-                if not ws:
-                    raise ExtensionError(f"no recurrence covers exponent {plan.points[a]}")
-                rng.shuffle(ws)
-                step = _first_ready(plan, known, a, ws)
-                if step is not None:
-                    break
-            else:
-                raise ExtensionError("generation stalled: no target has its operands")
-            del pending[bisect_left(pending, r)]
-            yield (a, *step)
-            known[a] = 1
-        return
-
-    walk = 0  # rank of the next target the walk reaches
-    heap: list[int] = []  # ranks of parked targets that became ready
-    best: dict[int, int] = {}  # their least ready recurrence
-    parked: dict = {}  # (rank, w) -> [operands, count not yet filled]
-    waiting: dict[int, list] = {}  # flat index -> parked (rank, w) needing it
+    known = bytearray(i in plan.known for i in range(len(plan.points)))
+    pending = list(range(len(targets)))  # ranks
     for _ in targets:
-        if heap:
-            r = heapq.heappop(heap)
-            a, w = targets[r], best.pop(r)
-            step = (w, parked[r, w][0])
-        else:
-            while True:
-                if walk == len(targets):
-                    raise ExtensionError("generation stalled: no target has its operands")
-                a = targets[walk]
-                ws = plan.cover(a)
-                if not ws:
-                    raise ExtensionError(f"no recurrence covers exponent {plan.points[a]}")
-                step = _first_ready(plan, known, a, ws)
-                walk += 1
-                if step is not None:
-                    break
-                for w in ws:
-                    ops = plan.operands(a, w)
-                    wait = [i for i in ops if not known[i]]
-                    parked[walk - 1, w] = [ops, len(wait)]
-                    for i in wait:
-                        waiting.setdefault(i, []).append((walk - 1, w))
+        for r in rng.sample(pending, len(pending)):
+            a = targets[r]
+            ws = plan.cover(a)
+            if not ws:
+                raise ExtensionError(f"no recurrence covers exponent {plan.points[a]}")
+            rng.shuffle(ws)
+            step = _first_ready(plan, known, a, ws)
+            if step is not None:
+                break
+        del pending[bisect_left(pending, r)]
         yield (a, *step)
         known[a] = 1
-        for r, w in waiting.pop(a, ()):
-            entry = parked[r, w]
-            entry[1] -= 1
-            if entry[1] == 0 and not known[targets[r]]:
-                if r not in best:
-                    best[r] = w
-                    heapq.heappush(heap, r)
-                elif w < best[r]:
-                    best[r] = w
 
 
 def fill_steps(gb: GroebnerBasis, rng: random.Random | None = None):
@@ -212,31 +174,27 @@ def fill_steps(gb: GroebnerBasis, rng: random.Random | None = None):
     Targets and operands are flat box indices (transform.box_layout).
     Starting from the footprint, each step fills one box exponent a outside
     it by recurrence w, whose operands are the wrapped a + s - s_w over the
-    tail terms s of g_w; every operand is filled before the step.  The steps
-    depend only on the pivots and the term supports.  By default a step takes
-    the least pending target in the monomial order that has a ready
-    recurrence, and the lowest-index ready recurrence; this schedule is
-    worked out once per basis and replayed.  With `rng` each round visits
-    targets and recurrences in random order instead.  Raises ExtensionError,
-    after the steps before it, when a visited target has no recurrence or
-    no target is ready.
+    tail terms s of g_w.  The steps depend only on the pivots and the term
+    supports.  By default the steps take the targets in monomial order, each
+    by the lowest-index recurrence covering it; this list is worked out once
+    per basis and replayed.  With `rng` each round visits targets and
+    recurrences in random order and takes the first ready pair instead.
+    Raises ExtensionError, after the steps before it, at a target no
+    recurrence covers.
+
+    Precondition: every tail term comes before its pivot in the monomial
+    order, as in every basis the library builds (interpolated, certified or
+    raw from the iteration).  Then every operand comes before its target and
+    is filled first: a + s - s_w by translation invariance, and a wrapped
+    operand by its smaller weight, since every weight is positive.
     """
     plan = _plan(gb)
     if rng is not None:
-        yield from _schedule(plan, rng)
+        yield from _random_steps(plan, rng)
         return
-    if plan.default is None:
-        steps, why = [], None
-        try:
-            for step in _schedule(plan, None):
-                steps.append(step)
-        except ExtensionError as ex:
-            why = str(ex)
-        plan.default = (steps, why)
-    steps, why = plan.default
-    yield from steps
-    if why is not None:
-        raise ExtensionError(why)
+    yield from plan.steps
+    if plan.why is not None:
+        raise ExtensionError(plan.why)
 
 
 def extend(gb: GroebnerBasis, seed: dict, rng: random.Random | None = None) -> Array:

@@ -28,6 +28,12 @@ def _need(block: dict, key: str, where: str):
     return block[key]
 
 
+def _int_list(raw, where: str) -> list[int]:
+    if not isinstance(raw, list) or not all(isinstance(x, int) for x in raw):
+        raise SpecFileError(f"{where} must be a list of integers")
+    return raw
+
+
 def _point_list(raw, where: str) -> list[tuple[int, ...]]:
     if not isinstance(raw, list):
         raise SpecFileError(f"{where} must be a list of exponent tuples")
@@ -53,18 +59,25 @@ def parse_spec_document(doc: dict) -> CodeSpec:
     alpha = fblock.get("alpha")
     if not isinstance(p, int) or not isinstance(m, int):
         raise SpecFileError("field.p and field.m must be integers")
+    if modulus is not None:
+        modulus = _int_list(modulus, "field.modulus")
+    if alpha is not None and not isinstance(alpha, (int, str)):
+        raise SpecFileError("field.alpha must be an integer or a string")
     field = build_field(p, m, modulus=modulus, alpha=alpha)
 
     nvars = _need(cblock, "N", "code")
-    weights = _need(cblock, "weights", "code")
-    tiebreak = cblock.get("tiebreak", [])
-    if not isinstance(nvars, int) or not isinstance(weights, list):
-        raise SpecFileError("code.N must be an integer and code.weights a list")
+    if not isinstance(nvars, int):
+        raise SpecFileError("code.N must be an integer")
+    weights = _int_list(_need(cblock, "weights", "code"), "code.weights")
     if len(weights) != nvars:
         raise SpecFileError("code.weights length must equal code.N")
-    order = MonomialOrder(
-        tuple(weights), tuple((axis, direction) for axis, direction in tiebreak)
-    )
+    tiebreak = cblock.get("tiebreak", [])
+    if not isinstance(tiebreak, list) or not all(
+        isinstance(t, list) and len(t) == 2 and all(isinstance(x, int) for x in t)
+        for t in tiebreak
+    ):
+        raise SpecFileError("code.tiebreak must be a list of [axis, direction] integer pairs")
+    order = MonomialOrder(tuple(weights), tuple(map(tuple, tiebreak)))
 
     raw_psi = _need(cblock, "psi", "code")
     if raw_psi == "torus":

@@ -5,7 +5,7 @@ import pytest
 
 from avcodes import cli
 from avcodes.codes import encode_dual_nonsystematic, hermitian_preset, rs_preset
-from avcodes.specfile import serialize_spec
+from avcodes.specfile import serialize_spec, spec_to_document
 
 RECEIVED = "index: psi\n1,9,0,4,1,7,3,2,0,10\n"
 CODEWORD = "index: psi\n2,9,0,4,1,7,3,2,0,5\n"
@@ -167,6 +167,25 @@ def test_bench_runs_and_respects_empty_sizes(capsys):
 
 def test_malformed_spec_exits_2(tmp_path, capsys):
     bad = write(tmp_path, "bad.json", "{ not json")
+    assert cli.main(["code", "describe", "--spec", bad]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("field", "modulus", 7),
+        ("field", "alpha", 3.0),
+        ("field", "alpha", [3]),
+        ("code", "weights", ["a", "b"]),
+        ("code", "tiebreak", 5),
+        ("code", "tiebreak", [[1, 1, 1]]),
+    ],
+)
+def test_badly_shaped_spec_exits_2(block, key, value, tmp_path, capsys):
+    doc = spec_to_document(hermitian_preset())
+    doc[block][key] = value
+    bad = write(tmp_path, "bad.json", json.dumps(doc))
     assert cli.main(["code", "describe", "--spec", bad]) == 2
     assert "error:" in capsys.readouterr().err
 

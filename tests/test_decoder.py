@@ -153,26 +153,25 @@ def test_zero_syndrome_gives_unit_basis():
 
 
 def test_bms_full_box_validation_matches_r_only():
-    # a pure error array is known on the whole box; the periodic run must
-    # land on the same basis as the public-region run
-    spec = rs_preset()
-    err = {pt: 0 for pt in spec.psi}
-    err[(0,)] = 10
-    err[(9,)] = 5
-    syn = syndrome_array(spec, err)
-    box = sorted(syn, key=spec.order.key)
-    full = bms(spec, syn, region=box)
-    part = bms(spec, {a: syn[a] for a in spec.r_set})
-    assert full.polys == part.polys
-    assert full.describe() == RS_LOCATOR
-
-    herm = hermitian_preset()
-    herr = herm_error_map()
-    hsyn = syndrome_array(herm, herr)
-    hbox = sorted(hsyn, key=herm.order.key)
-    hfull = bms(herm, hsyn, region=hbox)
-    truth = vanishing_ideal_gb(herm.field, herm.order, HERM_ERROR_POINTS)
-    assert hfull.polys == truth.polys
+    # a pure error array is known on the whole box; the iteration over the
+    # wrapped full-box array must land on the same footprint and, once
+    # interreduced, the same basis as the public-region run
+    cases = [
+        (rs_preset(), {(0,): 10, (9,): 5}, RS_LOCATOR),
+        (hermitian_preset(), dict(zip(HERM_ERROR_POINTS, HERM_ERROR_VALUES)), HERM_LOCATOR),
+    ]
+    for spec, errors, locator in cases:
+        field, order, q = spec.field, spec.order, spec.field.q
+        err = {pt: errors.get(pt, 0) for pt in spec.psi}
+        syn = syndrome_array(spec, err)
+        box = sorted(syn, key=order.key)
+        F, delta = _sakata_core(field, order, lambda pos: syn[vec_wrap(pos, q - 1)], box)
+        full = reduce_basis(field, order, q, [Poly(field, f) for _t, f in F])
+        part = bms(spec, {a: syn[a] for a in spec.r_set})
+        assert frozenset(delta) == part.footprint
+        assert full == list(part.polys)
+        assert part.describe() == locator
+        assert part.polys == vanishing_ideal_gb(field, order, sorted(errors)).polys
 
 
 def test_bms_rejects_incomplete_syndrome():
@@ -183,9 +182,10 @@ def test_bms_rejects_incomplete_syndrome():
 
 def test_bms_rejects_non_prefix_region():
     spec = rs_preset()
+    code = make_code(spec.field, spec.order, spec.psi, r_set=[(0,), (2,)])
     syn = {(i,): 0 for i in range(10)}
     with pytest.raises(CodeSpecError):
-        bms(spec, syn, region=[(0,), (2,)])
+        bms(code, syn)
 
 
 def test_solve_affine_keeps_unknowns_without_rows():
@@ -234,7 +234,7 @@ def iterated_erasure_locator(spec, phi1):
         return cache[w]
 
     region = sorted(product(range(2 * (q - 1)), repeat=order.nvars), key=order.key)
-    F, _delta = _sakata_core(field, order, lookup, region, q - 1)
+    F, _delta = _sakata_core(field, order, lookup, region)
     reduced = reduce_basis(field, order, q, [Poly(field, f) for _t, f in F])
     return sorted(reduced, key=lambda g: order.key(g.leading_monomial(order)))
 
@@ -584,7 +584,7 @@ def test_gf16_mixed_decode_op_counts_are_pinned():
     with count_ops() as c:
         result = decode(spec, work, erasures=erased)
     assert result.status == "corrected" and result.codeword == cw
-    assert (c.addsub, c.muldiv) == (25977, 25463)
+    assert (c.addsub, c.muldiv) == (25837, 25284)
 
 
 def test_inconsistent_extension_decode_op_counts_are_pinned():

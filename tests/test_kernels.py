@@ -358,6 +358,29 @@ def test_fill_and_extend_match_reference(data):
 
 
 @PROPERTY
+@given(st.data())
+def test_default_fill_is_one_pass_in_monomial_order(data):
+    # the invariant that lets the default fill skip scheduling: each operand
+    # comes before its target, so the targets go in monomial order, each by
+    # the lowest-index recurrence covering it, and no schedule ever stalls
+    gb = data.draw(broken(data.draw(bases())))
+    pts = box_layout(gb.q, gb.order.nvars).points
+    rank = {pt: r for r, pt in enumerate(enumerate_order(gb.order, gb.q))}
+    steps, why = collect(fill_steps(gb))
+    targets = [rank[pts[a]] for a, _w, _idx in steps]
+    assert targets == sorted(set(targets))
+    for a, w, idx in steps:
+        assert all(rank[pts[i]] < rank[pts[a]] for i in idx)
+        assert w == min(v for v, piv in enumerate(gb.pivots) if vec_geq(pts[a], piv))
+    if why is None:
+        assert len(steps) + len(gb.footprint & set(rank)) == len(rank)
+    k = data.draw(st.integers(0, 2**32 - 1))
+    ends = [why, collect(fill_steps(gb, random.Random(k)))[1]]
+    ends += [collect(ref_fill_steps(gb, rng))[1] for rng in (None, random.Random(k))]
+    assert all(end is None or end.startswith("no recurrence covers exponent") for end in ends)
+
+
+@PROPERTY
 @given(st.sampled_from(SHAPES), st.booleans(), st.integers(0, 2**32 - 1))
 def test_transform_kernels_match_reference(shape, inverse, k):
     q, nvars = shape

@@ -129,6 +129,31 @@ def test_malformed_documents_raise_spec_file_error(text):
         parse_spec_text(text)
 
 
+BAD_SHAPES = {
+    "modulus-int": ("field", "modulus", 7),
+    "modulus-str-entry": ("field", "modulus", [2, "1", 1]),
+    "alpha-float": ("field", "alpha", 3.0),
+    "alpha-list": ("field", "alpha", [3]),
+    "weights-str": ("code", "weights", ["a", "b"]),
+    "tiebreak-int": ("code", "tiebreak", 5),
+    "tiebreak-triple": ("code", "tiebreak", [[1, 1, 1]]),
+    "tiebreak-flat": ("code", "tiebreak", [1, 1]),
+}
+
+
+def bad_shape(case):
+    block, key, value = BAD_SHAPES[case]
+    doc = json.loads(json.dumps(HERM_DOC))
+    doc[block][key] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("case", list(BAD_SHAPES))
+def test_badly_shaped_fields_raise_spec_file_error(case):
+    with pytest.raises(SpecFileError):
+        parse_spec_text(bad_shape(case))
+
+
 def test_semantic_problems_keep_their_own_error_class():
     # duplicate points are a semantic problem, not a file-format one
     doc = {
