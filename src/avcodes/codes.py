@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .field import Field, build_field
 from .groebner import GroebnerBasis, normal_form, vanishing_ideal_gb
 from .orders import MonomialOrder, n0_prefix, vec_wrap
 from .poly import Poly
-from .recurrence import c_inverse, c_map, ev, include, restrict_a
-from .transform import dft, domain_points, eval_poly_vector
+from .recurrence import c_inverse, c_map, ev
+from .transform import domain_points, eval_poly_vector
+# unused here; kept so the benchmark's span recorder finds codes.dft
+from .transform import dft  # noqa: F401
 
 
 class CodeSpecError(ValueError):
@@ -50,6 +52,11 @@ class CodeSpec:
 
     def syndrome_is_prefix(self) -> bool:
         """True when R is an initial segment of N_0^N under the order."""
+        return self._r_is_prefix
+
+    @cached_property
+    def _r_is_prefix(self) -> bool:
+        # computed once per spec: every decode asks twice
         return set(self.r_set) == set(n0_prefix(self.order, len(self.r_set)))
 
 
@@ -163,8 +170,7 @@ def encode_systematic(spec: CodeSpec, info: dict) -> dict:
     if set(info) != set(spec.info_positions()):
         raise CodeSpecError("info must cover exactly the non-parity positions")
     field = spec.field
-    syn = dft(field, include(info, field.q, spec.order.nvars), spec.order.nvars)
-    seed = restrict_a(syn, spec.r_set)
+    seed = c_inverse(field, info, spec.r_set)
     parity = c_map(spec.gb_phi, seed, onto=spec.phi)
     cw = dict(info)
     for pt, v in parity.items():

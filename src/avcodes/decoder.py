@@ -1,11 +1,13 @@
 """Erasure-and-error decoding of dual affine variety codes.
 
-decode() runs the pipeline on a received word: full syndrome array by DFT,
-locator basis by the multidimensional Berlekamp-Massey iteration (seeded
-with the erasure locator, the interpolated vanishing ideal of the erased
-points, when erasure positions are known), syndrome extension under the
-locator recurrences, error values by inverse DFT, and parity-verified
-subtraction.
+decode() runs the pipeline on a received word: syndromes on R by power
+sums, locator basis by the multidimensional Berlekamp-Massey iteration
+(seeded with the erasure locator, the interpolated vanishing ideal of the
+erased points, when erasure positions are known), syndrome extension under
+the locator recurrences, error values by inverse DFT, and parity-verified
+subtraction.  R must be an initial segment of the monomial order, so no
+syndrome constrains a footprint value outside R: a locator footprint that
+leaves R is a failure.
 
 The iteration alone can leave locator tail coefficients underdetermined at
 half the order bound, so bms() completes it by certification: it solves the
@@ -38,15 +40,8 @@ from .groebner import (
 from .groebner import reduce_basis  # noqa: F401
 from .orders import vec_add, vec_geq, vec_sub
 from .poly import Poly
-from .recurrence import (
-    ExtensionError,
-    c_map,
-    fill_steps,
-    include,
-    recurrence_tails,
-    relation_value,
-)
-from .transform import box_layout, dft
+from .recurrence import ExtensionError, c_map, include, relation_value
+from .transform import dft
 
 
 @dataclass(frozen=True)
@@ -195,14 +190,15 @@ def _direct_poly(field, lookup, processed, t2, tail, phi1):
 def _sakata_core(field, order, lookup, region, init=None, phi1=()):
     """Minimal recurrence basis of the array behind `lookup` over `region`.
 
-    region must be sorted ascending.  Candidates are updated by the classic
-    shift/repair rules; when no witness fits, a dense solve over the delta
-    monomials below the pivot fills the slot, and an infeasible solve forces
-    the pivot into the delta set: a tail over any wider support would reduce
-    into delta by shifts of the candidates already built, so it cannot exist
-    either.  With init the iteration starts from the erasure locator basis;
-    every later candidate is a shift or combination of ideal members, so the
-    erasure roots stay enforced throughout.
+    region must be sorted ascending.  A candidate that holds keeps its
+    pivot, which stays a minimal generator of the grown footprint; a new
+    pivot is filled by repairing a failing candidate with a witness, or else
+    by a dense solve over the delta monomials below it, and an infeasible
+    solve forces the pivot into the delta set: a tail over any wider support
+    would reduce into delta by shifts of the candidates already built, so it
+    cannot exist either.  With init the iteration starts from the erasure
+    locator basis; every later candidate is a shift or combination of ideal
+    members, so the erasure roots stay enforced throughout.
     """
     nvars = order.nvars
     if init is not None:
@@ -231,11 +227,6 @@ def _sakata_core(field, order, lookup, region, init=None, phi1=()):
             newF, regrow = [], None
             for t2 in sorted(minimal_generators(delta, nvars), key=order.key):
                 built = next((f for t, f in keep if t == t2), None)
-                if built is None:
-                    shiftable = [(t, f) for t, f in keep if vec_geq(t2, t)]
-                    if shiftable:
-                        t, f = min(shiftable, key=lambda p: order.key(p[0]))
-                        built = _shift(f, vec_sub(t2, t))
                 if built is None:
                     cands = [(t, f, d) for t, f, d in fails if vec_geq(t2, t)]
                     gap = vec_sub(k, t2)
@@ -294,12 +285,17 @@ def _certify(spec: CodeSpec, syndrome: dict, phi1, delta: set) -> GroebnerBasis 
     points, contains the erasures, and interpolates back to the same
     footprint.  The certified basis returned is the reduced basis of that
     variety, so it is canonical regardless of which route found it.
+    Pivots outside the footprint of Psi are skipped: they get no syndrome
+    rows (R lies in that down-set), and the locator ideal is I(Psi) plus its
+    members with pivots inside it, so the variety inside Psi is the same.
     """
     field, order = spec.field, spec.order
     nvars = order.nvars
     slots = []
     total = 1
     for t in sorted(minimal_generators(delta, nvars), key=order.key):
+        if t not in spec.footprint:
+            continue
         tail = sorted((s for s in delta if order.compare(s, t) < 0), key=order.key)
         rows, rhs = _pivot_system(field, syndrome.__getitem__, spec.r_set, t, tail, phi1)
         sol = solve_affine(field, rows, rhs, ncols=len(tail))
@@ -472,47 +468,6 @@ def syndrome_array(spec: CodeSpec, u: dict) -> dict:
     return dft(spec.field, include(u, spec.field.q, nvars), nvars)
 
 
-def _extend_symbolic(gb: GroebnerBasis, delta_sorted) -> dict:
-    """Box values as coefficient vectors over the footprint seed values."""
-    field, dim = gb.field, len(delta_sorted)
-    add, mul, neg, _exp = field.tables
-    layout = box_layout(gb.q, gb.order.nvars)
-    sym = {s: [int(i == j) for j in range(dim)] for i, s in enumerate(delta_sorted)}
-    vecs = [sym.get(pt) for pt in layout.points]
-    tails = recurrence_tails(gb)
-    nterms = nsteps = 0
-    try:
-        for a, w, idx in fill_steps(gb):
-            acc = [0] * dim
-            for c, i in zip(tails[w], idx):
-                mc = mul[c]
-                acc = [add[x][mc[y]] for x, y in zip(acc, vecs[i])]
-            vecs[a] = sym[layout.points[a]] = [neg[x] for x in acc]
-            nterms += len(idx)
-            nsteps += 1
-    finally:
-        field.charge(dim * (nterms + nsteps), dim * nterms)
-    return sym
-
-
-def _seed_outside_r(spec: CodeSpec, loc: GroebnerBasis, syn_r: dict):
-    """Solve for footprint syndrome values when the footprint leaves R."""
-    order, field = spec.order, spec.field
-    delta_sorted = sorted(loc.footprint, key=order.key)
-    try:
-        sym = _extend_symbolic(loc, delta_sorted)
-    except ExtensionError as ex:
-        return None, f"syndrome extension inconsistent: {ex}"
-    rows = [sym[a] for a in spec.r_set]
-    rhs = [syn_r[a] for a in spec.r_set]
-    sol = solve_affine(field, rows, rhs, ncols=len(delta_sorted))
-    if sol is None:
-        return None, "syndrome values inconsistent with the locator recurrences"
-    if sol[1]:
-        return None, "syndrome values outside the known region are underdetermined"
-    return dict(zip(delta_sorted, sol[0])), ""
-
-
 def decode(spec: CodeSpec, received: dict, erasures=()) -> DecodeResult:
     """Erasure-and-error decoding of a received word.
 
@@ -521,7 +476,7 @@ def decode(spec: CodeSpec, received: dict, erasures=()) -> DecodeResult:
     the channel can cause comes back as a DecodeResult, with failures
     naming the check that tripped.
     """
-    field, order, q = spec.field, spec.order, spec.field.q
+    field, q = spec.field, spec.field.q
     received = {tuple(p): v for p, v in received.items()}
     if set(received) != set(spec.psi):
         raise CodeSpecError("received word must cover exactly the code positions")
@@ -537,17 +492,15 @@ def decode(spec: CodeSpec, received: dict, erasures=()) -> DecodeResult:
     for p in phi1:
         work[p] = 0
     er_gb = erasure_locator(spec, phi1) if phi1 else None
-    syn = syndrome_array(spec, work)
-    syn_r = {a: syn[a] for a in spec.r_set}
+    syn_r = parity_check(spec, work)
     loc = bms(spec, syn_r, init=er_gb, phi1=phi1)
 
-    delta = sorted(loc.footprint, key=order.key)
-    if set(delta) <= set(spec.r_set):
-        seed = {a: syn_r[a] for a in delta}
-    else:
-        seed, why = _seed_outside_r(spec, loc, syn_r)
-        if seed is None:
-            return DecodeResult("failure", None, None, loc, why)
+    if not loc.footprint <= set(spec.r_set):
+        # every fill operand precedes its target and R is an order prefix,
+        # so no syndrome row constrains a footprint value outside R
+        why = "syndrome values outside the known region are underdetermined"
+        return DecodeResult("failure", None, None, loc, why)
+    seed = {a: syn_r[a] for a in loc.footprint}
     try:
         err = c_map(loc, seed, onto=spec.psi)
     except ExtensionError as ex:

@@ -271,7 +271,7 @@ def test_encoder_op_counts_are_pinned():
     info = {pt: (3 * i + 1) % 9 for i, pt in enumerate(code.info_positions())}
     with count_ops() as c:
         encode_systematic(code, info)
-    assert (c.addsub, c.muldiv) == (3338, 3146)
+    assert (c.addsub, c.muldiv) == (2449, 2257)
     support = sorted(set(code.footprint) - set(code.r_set), key=code.order.key)
     h = {s: (2 * i + 5) % 9 for i, s in enumerate(support)}
     with count_ops() as c:

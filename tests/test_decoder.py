@@ -16,7 +16,6 @@ from avcodes.codes import (
     rs_preset,
 )
 from avcodes.decoder import (
-    _extend_symbolic,
     _radius_cap,
     _sakata_core,
     bms,
@@ -30,7 +29,7 @@ from avcodes.field import build_field, count_ops
 from avcodes.groebner import monomial_eval, reduce_basis, vanishing_ideal_gb
 from avcodes.orders import MonomialOrder, vec_wrap
 from avcodes.poly import Poly
-from avcodes.recurrence import c_map, extend
+from avcodes.recurrence import c_map
 
 RS_RECEIVED = [1, 9, 0, 4, 1, 7, 3, 2, 0, 10]
 RS_CODEWORD = [2, 9, 0, 4, 1, 7, 3, 2, 0, 5]
@@ -56,6 +55,12 @@ def herm_error_map():
     for pt, v in zip(HERM_ERROR_POINTS, HERM_ERROR_VALUES):
         err[pt] = v
     return err
+
+
+def gf16_c19():
+    field = build_field(2, 4)
+    order = MonomialOrder((4, 5), ((1, 1),))
+    return make_code(field, order, hermitian_curve_points(field), weight_cutoff=19)
 
 
 def shortened_hermitian():
@@ -391,7 +396,7 @@ def test_rs_five_erasures_underdetermined():
 
 def test_hermitian_two_full_lines_underdetermined():
     # eight erasures across two x^4 = c lines: the erasure footprint leaves
-    # R, and each outside monomial is a free direction of the seed solve
+    # R, and no syndrome constrains the values at its monomials outside R
     spec = hermitian_preset()
     lines = [pt for pt in spec.psi if pt[1] in (0, 1)]
     assert len(lines) == 8
@@ -405,8 +410,33 @@ def test_hermitian_two_full_lines_underdetermined():
         res = decode(spec, work, erasures=lines)
     assert res.status == "failure"
     assert "underdetermined" in res.detail
-    # this is the coefficient-vector fill's route; no benchmark workload takes it
-    assert (c.addsub, c.muldiv) == (3589, 3488)
+    # the decode stops right after the locator: the erasure locator,
+    # syndromes on R and the BMS iteration with its certification
+    assert (c.addsub, c.muldiv) == (1458, 1742)
+
+
+def test_erasure_sets_decode_exactly_when_their_footprint_lies_in_r():
+    # R is an order prefix, so no syndrome constrains a footprint value
+    # outside R: past the bound only erasure sets whose footprint stays in R
+    # can decode, and every other set fails as underdetermined
+    rng = random.Random(61)
+    outcomes = set()
+    for spec in (rs_preset(), hermitian_preset()):
+        size = len(spec.r_set)
+        for _ in range(150):
+            pts = rng.sample(spec.psi, rng.randrange(size - 3, size + 1))
+            inside = erasure_locator(spec, pts).footprint <= set(spec.r_set)
+            cw = random_codeword(spec, rng)
+            work = dict(cw)
+            for pt in pts:
+                work[pt] = rng.randrange(spec.field.q)
+            res = decode(spec, work, erasures=pts)
+            if inside:
+                assert res.status == "corrected" and res.codeword == cw
+            else:
+                assert res.status == "failure" and "underdetermined" in res.detail
+            outcomes.add(inside)
+    assert outcomes == {True, False}
 
 
 def test_hermitian_parity_set_erasures_decode_beyond_bound():
@@ -436,6 +466,33 @@ def test_mixed_erasures_and_errors():
             work[pt] = (work[pt] + rng.randrange(1, 9)) % 9
         res = decode(spec, work, erasures=phi1)
         assert res.status == "corrected" and res.codeword == cw
+
+
+def test_errors_filling_one_x_line_are_corrected():
+    # every point of one x-line is in error, so the locator footprint is a
+    # y-chain whose top pivot is the pivot of I(Psi) (y^3 over GF(9), y^4
+    # over GF(16)): no syndrome row reaches it, and its family has q^|chain|
+    # members
+    for spec, per_line, pinned in (
+        (hermitian_preset(), 3, (2658, 2461)),
+        (gf16_c19(), 4, (939692, 938985)),
+    ):
+        rng = random.Random(59)
+        counts = []
+        for x in sorted({pt[0] for pt in spec.psi}):
+            line = [pt for pt in spec.psi if pt[0] == x]
+            assert len(line) == per_line
+            cw = random_codeword(spec, rng)
+            work = dict(cw)
+            for pt in line:
+                work[pt] = spec.field.add(work[pt], rng.randrange(1, spec.field.q))
+            with count_ops() as c:
+                res = decode(spec, work)
+            assert res.status == "corrected" and res.codeword == cw
+            truth = vanishing_ideal_gb(spec.field, spec.order, line)
+            assert res.locator.polys == truth.polys
+            counts.append((c.addsub, c.muldiv))
+        assert counts[0] == pinned
 
 
 # -- beyond the radius
@@ -555,7 +612,7 @@ def test_syndrome_array_requires_coverage():
         syndrome_array(spec, {(0,): 1})
 
 
-# -- pinned costs and the coefficient-vector fill
+# -- pinned costs
 
 
 def test_errors_only_decode_op_counts_are_pinned():
@@ -566,14 +623,13 @@ def test_errors_only_decode_op_counts_are_pinned():
     with count_ops() as c:
         result = decode(spec, work)
     assert result.status == "corrected"
-    assert (c.addsub, c.muldiv) == (4414, 4260)
+    assert (c.addsub, c.muldiv) == (3606, 3452)
 
 
 def test_gf16_mixed_decode_op_counts_are_pinned():
     # GF(16) c19 Hermitian code, three errors and two erasures
-    field = build_field(2, 4)
-    order = MonomialOrder((4, 5), ((1, 1),))
-    spec = make_code(field, order, hermitian_curve_points(field), weight_cutoff=19)
+    spec = gf16_c19()
+    field = spec.field
     cw = random_codeword(spec, random.Random(5))
     work = dict(cw)
     for i, j in enumerate((3, 17, 40)):
@@ -584,7 +640,7 @@ def test_gf16_mixed_decode_op_counts_are_pinned():
     with count_ops() as c:
         result = decode(spec, work, erasures=erased)
     assert result.status == "corrected" and result.codeword == cw
-    assert (c.addsub, c.muldiv) == (25837, 25284)
+    assert (c.addsub, c.muldiv) == (19927, 19374)
 
 
 def test_inconsistent_extension_decode_op_counts_are_pinned():
@@ -603,18 +659,7 @@ def test_inconsistent_extension_decode_op_counts_are_pinned():
     assert result.detail == (
         "syndrome extension inconsistent: recurrence 1 violated at (2, 2)"
     )
-    assert (c.addsub, c.muldiv) == (2228, 2208)
+    assert (c.addsub, c.muldiv) == (1420, 1400)
     with count_ops() as again:
         decode(spec, work)
     assert (again.addsub, again.muldiv) == (c.addsub, c.muldiv)
-
-
-def test_symbolic_fill_matches_scalar_extend_of_unit_seeds():
-    spec = hermitian_preset()
-    gb = vanishing_ideal_gb(spec.field, spec.order, spec.psi[:10])
-    assert not gb.footprint <= set(spec.r_set)
-    delta_sorted = sorted(gb.footprint, key=spec.order.key)
-    sym = _extend_symbolic(gb, delta_sorted)
-    for i in range(len(delta_sorted)):
-        unit = {s: int(j == i) for j, s in enumerate(delta_sorted)}
-        assert {a: v[i] for a, v in sym.items()} == extend(gb, unit)
