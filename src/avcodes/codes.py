@@ -13,9 +13,9 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .field import Field, build_field
+from .field import Field, build_field, count_ops
 from .groebner import GroebnerBasis, normal_form, vanishing_ideal_gb
-from .orders import MonomialOrder, n0_prefix, vec_wrap
+from .orders import MonomialOrder, n0_prefix, vec_add, vec_wrap
 from .poly import Poly
 from .recurrence import c_inverse, c_map, ev
 from .transform import domain_points, eval_poly_vector
@@ -58,6 +58,11 @@ class CodeSpec:
     def _r_is_prefix(self) -> bool:
         # computed once per spec: every decode asks twice
         return set(self.r_set) == set(n0_prefix(self.order, len(self.r_set)))
+
+    @cached_property
+    def pair_table(self) -> PairTable:
+        """The well-behaving pairs shared by the order bound and the decoder."""
+        return PairTable(self)
 
 
 def make_code(
@@ -201,94 +206,79 @@ def random_codeword(spec: CodeSpec, rng: random.Random) -> dict:
 # -- distance bounds
 
 
-def feng_rao_bound(spec: CodeSpec) -> int:
-    """Order bound on the dual minimum distance via one-way well-behaving pairs.
+class PairTable:
+    """One-way well-behaving pairs of a code's footprint, found on demand.
 
     rho(a, b) is the leading monomial of the normal form of x^(a+b) modulo
     the vanishing ideal; (a, b) is one-way well-behaving when every footprint
-    a' before a keeps rho(a', b) strictly before rho(a, b).  The bound is the
-    least pair count nu(s) over s outside R; when R fills the footprint the
-    sentinel n+1 is returned.
+    a' before a keeps rho(a', b) strictly before rho(a, b).  Each b walks
+    its a in the monomial order and stops once its largest rho so far
+    reaches the limit asked for: the rho of its well-behaving pairs rise
+    along the walk, so every later one lies past the limit.  A later,
+    larger limit resumes the walk.
+    Normal forms are cached per box exponent.  Both are properties of the
+    code, built in count_ops scopes of their own, so no count of a caller
+    depends on which call built them.
     """
-    order = spec.order
-    S = sorted(spec.footprint, key=order.key)
-    targets = [s for s in S if s not in set(spec.r_set)]
+
+    def __init__(self, spec: CodeSpec):
+        self.gb, self.order = spec.gb, spec.order
+        self.footprint = sorted(spec.footprint, key=spec.order.key)
+        self._nf: dict[tuple[int, ...], tuple] = {}
+        # per b: the index of its next a, and the key of its largest rho
+        self._walk = {b: (0, None) for b in self.footprint}
+        self._pairs: dict[tuple[int, ...], list] = {}
+        self._reach = None  # order key up to which _pairs is complete
+
+    def normal_form(self, e: tuple[int, ...]) -> tuple:
+        """((m, c), ...): the normal form of x^e for e in N_0^N, leading term first."""
+        return self._entry(e)[0]
+
+    def _entry(self, e: tuple[int, ...]) -> tuple:
+        """(normal form of x^e, the order key of its leading monomial)."""
+        box = vec_wrap(e, self.gb.q - 1)
+        got = self._nf.get(box)
+        if got is None:
+            with count_ops():
+                nf = normal_form(Poly(self.gb.field, {box: 1}), self.gb)
+            key = self.order.key
+            terms = tuple(sorted(nf.terms.items(), key=lambda t: key(t[0]), reverse=True))
+            got = self._nf[box] = (terms, key(terms[0][0]))
+        return got
+
+    def pairs_at(self, k: tuple[int, ...]) -> list:
+        """Every well-behaving pair (a, b) with rho(a, b) = k."""
+        limit = self.order.key(k)
+        if self._reach is None or self._reach < limit:
+            with count_ops():
+                self._advance(limit)
+            self._reach = limit
+        return self._pairs.get(k, [])
+
+    def _advance(self, limit) -> None:
+        S = self.footprint
+        for b, (i, top) in self._walk.items():
+            while i < len(S) and (top is None or top < limit):
+                terms, rk = self._entry(vec_add(S[i], b))
+                if top is None or top < rk:
+                    self._pairs.setdefault(terms[0][0], []).append((S[i], b))
+                    top = rk
+                i += 1
+            self._walk[b] = (i, top)
+
+
+def feng_rao_bound(spec: CodeSpec) -> int:
+    """Order bound on the dual minimum distance via one-way well-behaving pairs.
+
+    The bound is the least pair count nu(s) = |{(a, b): rho(a, b) = s}|
+    (PairTable) over s outside R; when R fills the footprint the sentinel
+    n+1 is returned.
+    """
+    r_set = set(spec.r_set)
+    targets = [s for s in spec.footprint if s not in r_set]
     if not targets:
         return spec.n + 1
-
-    rho_cache: dict[tuple[int, ...], tuple] = {}
-
-    def rho(a, b):
-        """(rho(a, b), its order key)."""
-        c = vec_wrap(tuple(x + y for x, y in zip(a, b)), spec.field.q - 1)
-        if c not in rho_cache:
-            lm = normal_form(Poly(spec.field, {c: 1}), spec.gb).leading_monomial(order)
-            rho_cache[c] = (lm, order.key(lm))
-        return rho_cache[c]
-
-    nu: dict[tuple[int, ...], int] = {s: 0 for s in targets}
-    # per b, the order key of the largest rho(a', b) over the a' seen so far:
-    # (a, b) is well-behaving when rho(a, b) exceeds it
-    top: dict[tuple[int, ...], tuple] = {}
-    for a in S:
-        for b in S:
-            r, key = rho(a, b)
-            if b not in top or top[b] < key:
-                if r in nu:
-                    nu[r] += 1
-                top[b] = key
-    return min(nu.values())
-
-
-def min_distance_bruteforce(spec: CodeSpec) -> int:
-    """Exact dual minimum distance by enumerating all q^k codewords."""
-    import math
-
-    field = spec.field
-    k = spec.k
-    if k * math.log2(field.q) > 22:
-        raise CodeSpecError("message space too large for brute force")
-    support = sorted(set(spec.footprint) - set(spec.r_set), key=spec.order.key)
-    rows = [to_vector(spec, encode_dual_nonsystematic(spec, {s: 1})) for s in support]
-    if field.m == 1:
-        return _min_distance_numpy(rows, field.q, spec.n)
-    best = spec.n + 1
-    from itertools import product
-
-    for msg in product(range(field.q), repeat=k):
-        if not any(msg):
-            continue
-        w = 0
-        for j in range(spec.n):
-            acc = 0
-            for c, row in zip(msg, rows):
-                if c:
-                    acc = field.add(acc, field.mul(c, row[j]))
-            if acc:
-                w += 1
-        best = min(best, w)
-    return best
-
-
-def _min_distance_numpy(rows, q: int, n: int) -> int:
-    import numpy as np
-
-    G = np.array(rows, dtype=np.int64)
-    k = len(rows)
-    total = q**k
-    powers = q ** np.arange(k, dtype=np.int64)
-    best = n + 1
-    chunk = 200_000
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        msgs = (idx[:, None] // powers) % q
-        words = (msgs @ G) % q
-        weights = np.count_nonzero(words, axis=1)
-        if start == 0:
-            weights = weights[1:]  # drop the zero message
-        if weights.size:
-            best = min(best, int(weights.min()))
-    return best
+    return min(len(spec.pair_table.pairs_at(s)) for s in targets)
 
 
 # -- presets

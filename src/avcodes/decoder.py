@@ -9,25 +9,28 @@ subtraction.  R must be an initial segment of the monomial order, so no
 syndrome constrains a footprint value outside R: a locator footprint that
 leaves R is a failure.
 
-The iteration alone can leave locator tail coefficients underdetermined at
-half the order bound, so bms() completes it by certification: it solves the
-affine family of all syndrome-valid bases on the candidate footprint and
-keeps the member whose ideal cuts out exactly footprint-many code positions
-containing the erasures; within the correctable bound that member is unique
-and equals the true locator basis.  locator_oracle() reaches the same
-certification from the opposite direction (a global search over candidate
-footprints with dense linear algebra, no iteration), giving an independent
-cross-check.
+On R alone the iteration can leave locator tail coefficients free at half
+the order bound, so bms() keeps iterating past R through N_0^N in the
+monomial order.  Exponents outside the footprint of Psi take their syndromes
+from normal forms modulo I(Psi); footprint exponents take theirs by Feng-Rao
+majority voting (Feng & Rao, IEEE T-IT 39(1), 1993), in its erasure-and-error
+form when erasures are given (Sakata, Leonard, Jensen & Hoeholdt, IEEE T-IT
+44(4), 1998).  The voters are the well-behaving pairs that the order bound
+counts, kept once per code on CodeSpec.pair_table.  The walk ends as soon as
+the iteration's own basis certifies: its variety inside Psi has exactly
+footprint-many points, contains the erasures, and interpolates back to that
+footprint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
-from .codes import CodeSpec, CodeSpecError, feng_rao_bound, parity_check
-from .field import Field, count_ops
+from .codes import CodeSpec, CodeSpecError, parity_check
+# unused here; kept so the benchmark's span recorder finds decoder.feng_rao_bound
+from .codes import feng_rao_bound  # noqa: F401
+from .field import Field
 from .groebner import (
     GroebnerBasis,
     check_point_set,
@@ -38,7 +41,7 @@ from .groebner import (
 )
 # unused here; kept so the benchmark's span recorder finds decoder.reduce_basis
 from .groebner import reduce_basis  # noqa: F401
-from .orders import vec_add, vec_geq, vec_sub
+from .orders import n0_walk, vec_add, vec_geq, vec_sub
 from .poly import Poly
 from .recurrence import ExtensionError, c_map, include, relation_value
 from .transform import dft
@@ -104,33 +107,11 @@ def solve_affine(field: Field, rows: list[list[int]], rhs: list[int], ncols: int
     return part, null
 
 
-# -- footprint bookkeeping
+# -- the Berlekamp-Massey-Sakata iteration
 
 
 def _lower_set(point: tuple[int, ...]):
     return product(*[range(c + 1) for c in point])
-
-
-def _downsets(nvars: int, max_size: int, base: frozenset = frozenset()):
-    """All order ideals of N_0^N containing `base`, by size then lexically."""
-    if len(base) > max_size:
-        return
-    seen = {base}
-    frontier = [base]
-    yield base
-    while frontier:
-        grown = set()
-        for d in frontier:
-            for t in minimal_generators(d, nvars):
-                d2 = d | {t}
-                if len(d2) <= max_size and d2 not in seen:
-                    seen.add(d2)
-                    grown.add(d2)
-        frontier = sorted(grown, key=lambda d: tuple(sorted(d)))
-        yield from frontier
-
-
-# -- the Berlekamp-Massey-Sakata iteration
 
 
 @dataclass
@@ -187,50 +168,59 @@ def _direct_poly(field, lookup, processed, t2, tail, phi1):
     return None if sol is None else _monic(t2, tail, sol[0])
 
 
-def _sakata_core(field, order, lookup, region, init=None, phi1=()):
-    """Minimal recurrence basis of the array behind `lookup` over `region`.
+class _Iteration:
+    """The BMS iteration, one step per point of the array behind `lookup`.
 
-    region must be sorted ascending.  A candidate that holds keeps its
-    pivot, which stays a minimal generator of the grown footprint; a new
-    pivot is filled by repairing a failing candidate with a witness, or else
-    by a dense solve over the delta monomials below it, and an infeasible
-    solve forces the pivot into the delta set: a tail over any wider support
-    would reduce into delta by shifts of the candidates already built, so it
-    cannot exist either.  With init the iteration starts from the erasure
-    locator basis; every later candidate is a shift or combination of ideal
+    Points come in ascending monomial order.  F holds the candidates
+    (pivot, terms) of a minimal recurrence basis over the points taken so
+    far, delta their footprint, and witnesses the failed candidates kept to
+    repair later ones.  A candidate that holds keeps its pivot, which stays
+    a minimal generator of the grown footprint; a new pivot is filled by
+    repairing a failing candidate with a witness, or else by a dense solve
+    over the delta monomials below it, and an infeasible solve forces the
+    pivot into the delta set: a tail over any wider support would reduce
+    into delta by shifts of the candidates already built, so it cannot
+    exist either.  With init the iteration starts from the erasure locator
+    basis; every later candidate is a shift or combination of ideal
     members, so the erasure roots stay enforced throughout.
     """
-    nvars = order.nvars
-    if init is not None:
-        F = [(g.leading_monomial(order), dict(g.terms)) for g in init.polys]
-        delta = set(init.footprint)
-    else:
-        F = [((0,) * nvars, {(0,) * nvars: 1})]
-        delta = set()
-    witnesses: list[_Witness] = []
 
-    for idx, k in enumerate(region):
+    def __init__(self, field, order, lookup, init=None, phi1=()):
+        self.field, self.order, self.lookup, self.phi1 = field, order, lookup, phi1
+        if init is not None:
+            self.F = [(g.leading_monomial(order), dict(g.terms)) for g in init.polys]
+            self.delta = set(init.footprint)
+        else:
+            origin = (0,) * order.nvars
+            self.F = [(origin, {origin: 1})]
+            self.delta = set()
+        self.witnesses: list[_Witness] = []
+        self.processed: list[tuple[int, ...]] = []
+
+    def step(self, k: tuple[int, ...]) -> bool:
+        """Take the point k; True when the candidates changed."""
+        field, order, lookup, delta = self.field, self.order, self.lookup, self.delta
+        self.processed.append(k)
         fails, keep = [], []
-        for t, f in F:
+        for t, f in self.F:
             d = relation_value(field, lookup, f, t, k) if vec_geq(k, t) else 0
             (fails if d else keep).append((t, f, d) if d else (t, f))
         if not fails:
-            continue
+            return False
         for t, _f, _d in fails:
             delta.update(_lower_set(vec_sub(k, t)))
-        processed = region[: idx + 1]
         guard = 0
         while True:
             guard += 1
-            if guard > 4 * len(region) + 16:
+            if guard > 4 * len(self.processed) + 16:
                 raise RuntimeError("footprint growth failed to stabilize")
             newF, regrow = [], None
-            for t2 in sorted(minimal_generators(delta, nvars), key=order.key):
+            for t2 in sorted(minimal_generators(delta, order.nvars), key=order.key):
                 built = next((f for t, f in keep if t == t2), None)
                 if built is None:
                     cands = [(t, f, d) for t, f, d in fails if vec_geq(t2, t)]
                     gap = vec_sub(k, t2)
-                    usable = [w for w in witnesses if vec_geq(w.span, gap)]
+                    usable = [w for w in self.witnesses if vec_geq(w.span, gap)]
                     if cands and usable:
                         t, f, d = min(cands, key=lambda p: order.key(p[0]))
                         w = min(usable, key=lambda w: order.key(w.span))
@@ -241,10 +231,10 @@ def _sakata_core(field, order, lookup, region, init=None, phi1=()):
                             field.div(d, w.disc),
                         )
                 if built is None:
-                    tail = sorted(
-                        (s for s in delta if order.compare(s, t2) < 0), key=order.key
-                    )
-                    built = _direct_poly(field, lookup, processed, t2, tail, phi1)
+                    top = order.key(t2)
+                    keyed = sorted((order.key(s), s) for s in delta)
+                    tail = [s for ks, s in keyed if ks < top]
+                    built = _direct_poly(field, lookup, self.processed, t2, tail, self.phi1)
                     if built is None:
                         # no valid candidate exists at this pivot at all, so
                         # the pivot itself belongs to every valid footprint
@@ -256,83 +246,66 @@ def _sakata_core(field, order, lookup, region, init=None, phi1=()):
             delta.update(_lower_set(regrow))
         for t, f, d in fails:
             span = vec_sub(k, t)
-            if any(vec_geq(w.span, span) for w in witnesses):
+            if any(vec_geq(w.span, span) for w in self.witnesses):
                 continue
-            witnesses = [w for w in witnesses if not vec_geq(span, w.span)]
-            witnesses.append(_Witness(span, dict(f), d))
-        F = newF
+            self.witnesses = [w for w in self.witnesses if not vec_geq(span, w.span)]
+            self.witnesses.append(_Witness(span, dict(f), d))
+        self.F = newF
+        return True
 
-    for t, f in F:
-        for a in region:
-            if vec_geq(a, t) and relation_value(field, lookup, f, t, a) != 0:
-                raise RuntimeError("recurrence basis fails revalidation")
-    return F, delta
-
-
-# -- certification: from a candidate footprint to the located positions
-
-
-_FREE_CAP = 8
-_MEMBER_CAP = 6561
+    def revalidate(self) -> None:
+        """Raise unless every candidate holds at every point taken."""
+        for t, f in self.F:
+            for a in self.processed:
+                if vec_geq(a, t) and relation_value(self.field, self.lookup, f, t, a) != 0:
+                    raise RuntimeError("recurrence basis fails revalidation")
 
 
-def _certify(spec: CodeSpec, syndrome: dict, phi1, delta: set) -> GroebnerBasis | None:
-    """Certified locator basis on the footprint `delta`, or None.
+# -- the syndromes past R
 
-    Solves, pivot by pivot, the affine family of monic polynomials whose
-    shifts annihilate the known syndromes and which vanish on the erasures;
-    a member certifies when its variety inside Psi has exactly |delta|
-    points, contains the erasures, and interpolates back to the same
-    footprint.  The certified basis returned is the reduced basis of that
-    variety, so it is canonical regardless of which route found it.
-    Pivots outside the footprint of Psi are skipped: they get no syndrome
-    rows (R lies in that down-set), and the locator ideal is I(Psi) plus its
-    members with pivots inside it, so the variety inside Psi is the same.
+
+def _from_normal_form(field: Field, terms, known: dict) -> int:
+    """sum c_m S_m over the normal-form terms (m, c) of a monomial."""
+    add, mul = field.tables[:2]
+    acc = 0
+    for m, c in terms:
+        acc = add[acc][mul[c][known[m]]]
+    field.charge(len(terms), len(terms))
+    return acc
+
+
+def _vote(spec: CodeSpec, it: _Iteration, known: dict, k: tuple[int, ...]):
+    """S_k at a footprint exponent by Feng-Rao majority vote, or None.
+
+    Each well-behaving pair (a, b) with rho(a, b) = k votes unless a lies in
+    the current footprint or b under a witness span.  The candidate whose
+    pivot t divides x^a fixes S_(a+b) by its relation at a + b.  Read
+    through normal forms, every other syndrome in that relation comes
+    before k, and S_(a+b) = c*S_k + (known terms), where c*x^k leads the
+    normal form of x^(a+b); that gives the pair's value of S_k.  The value
+    with the most votes wins; None when no pair is eligible.
     """
-    field, order = spec.field, spec.order
-    nvars = order.nvars
-    slots = []
-    total = 1
-    for t in sorted(minimal_generators(delta, nvars), key=order.key):
-        if t not in spec.footprint:
+    field, table = spec.field, spec.pair_table
+    add, mul = field.tables[:2]
+    votes: dict[int, int] = {}
+    nrest = nlead = 0
+    for a, b in table.pairs_at(k):
+        if a in it.delta or any(vec_geq(w.span, b) for w in it.witnesses):
             continue
-        tail = sorted((s for s in delta if order.compare(s, t) < 0), key=order.key)
-        rows, rhs = _pivot_system(field, syndrome.__getitem__, spec.r_set, t, tail, phi1)
-        sol = solve_affine(field, rows, rhs, ncols=len(tail))
-        if sol is None or len(sol[1]) > _FREE_CAP:
-            return None
-        total *= field.q ** len(sol[1])
-        if total > _MEMBER_CAP:
-            return None
-        slots.append((t, tail, sol[0], sol[1]))
-
-    def members(slot):
-        t, tail, part, null = slot
-        for vals in product(range(field.q), repeat=len(null)):
-            coeffs = list(part)
-            for v, basis in zip(vals, null):
-                if v:
-                    coeffs = [
-                        field.add(x, field.mul(v, y)) for x, y in zip(coeffs, basis)
-                    ]
-            yield _monic(t, tail, coeffs)
-
-    best = None
-    phi1_set = set(phi1)
-    cols = monomial_columns(
-        field, {s for t, tail, _p, _n in slots for s in (t, *tail)}, spec.psi
-    )
-    for combo in product(*[list(members(s)) for s in slots]):
-        variety = _variety(field, combo, cols, spec.psi)
-        if len(variety) != len(delta) or not phi1_set <= set(variety):
-            continue
-        gbv = vanishing_ideal_gb(field, order, variety)
-        if set(gbv.footprint) != delta:
-            continue
-        key = tuple(variety)
-        if best is None or key < best[0]:
-            best = (key, gbv)
-    return best[1] if best else None
+        t, f = next((t, f) for t, f in it.F if vec_geq(a, t))
+        lead = rest = 0
+        for s, cs in f.items():
+            for m, c in table.normal_form(vec_add(vec_sub(a, t), vec_add(s, b))):
+                if m == k:
+                    lead = mul[cs][c]
+                    nlead += 1
+                else:
+                    rest = add[rest][mul[mul[cs][c]][known[m]]]
+                    nrest += 1
+        value = field.neg(field.div(rest, lead))
+        votes[value] = votes.get(value, 0) + 1
+    field.charge(nrest, 2 * nrest + nlead)
+    return max(votes, key=votes.get) if votes else None
 
 
 def _variety(field: Field, polys, cols: dict, points) -> list:
@@ -357,31 +330,23 @@ def _variety(field: Field, polys, cols: dict, points) -> list:
     return [points[j] for j in alive]
 
 
-def _first_certified(spec: CodeSpec, syndrome: dict, phi1, base: frozenset):
-    """First certified basis on an order ideal containing `base`, or None.
+def _certified(spec: CodeSpec, it: _Iteration) -> GroebnerBasis | None:
+    """The reduced basis of the located positions when F certifies, or None.
 
-    Candidates go by size up to the decoding radius, which is computed only
-    when `base` itself does not certify.
+    F certifies when its variety V inside Psi has |delta| points, holds the
+    erasures, and interpolates back to the footprint delta.  Candidates
+    with pivots outside the footprint of Psi are left out: the locator
+    ideal is I(Psi) plus its members with pivots inside that footprint, so
+    the variety inside Psi is the same.
     """
-    got = _certify(spec, syndrome, phi1, set(base))
-    if got is not None:
-        return got
-    cap = max(_radius_cap(spec, len(phi1)), len(base))
-    for delta in _downsets(spec.order.nvars, cap, base):
-        if len(delta) > len(base):
-            got = _certify(spec, syndrome, phi1, set(delta))
-            if got is not None:
-                return got
-    return None
-
-
-@lru_cache(maxsize=None)
-def _radius_cap(spec: CodeSpec, n_erasures: int) -> int:
-    # a property of the code, computed once: its own scope keeps its cost
-    # out of the count of whichever decode gets here first
-    with count_ops():
-        d = feng_rao_bound(spec)
-    return n_erasures + max(0, (d - 1 - n_erasures) // 2)
+    field = spec.field
+    polys = [f for t, f in it.F if t in spec.footprint]
+    cols = monomial_columns(field, {s for f in polys for s in f}, spec.psi)
+    variety = _variety(field, polys, cols, spec.psi)
+    if len(variety) != len(it.delta) or not set(it.phi1) <= set(variety):
+        return None
+    gbv = vanishing_ideal_gb(field, spec.order, variety)
+    return gbv if gbv.footprint == it.delta else None
 
 
 # -- the locator routes
@@ -407,11 +372,17 @@ def bms(spec: CodeSpec, syndrome: dict, init: GroebnerBasis | None = None, phi1=
     """Locator basis from syndrome values on the public region R.
 
     R must be an initial segment of the monomial order.  With init/phi1 the
-    iteration starts from the erasure locator basis.  Returns the certified
-    basis whenever certification succeeds, falling back to downset
-    supersets of the iteration footprint up to the decoding radius;
-    otherwise returns the raw iteration result and leaves the verdict to
-    downstream consistency checks.
+    iteration starts from the erasure locator basis.  After R the
+    iteration walks on through N_0^N in the monomial order: an exponent
+    outside the footprint of Psi takes its syndrome from the normal form of
+    its monomial, a footprint exponent by majority vote (_vote).  The
+    certified basis is returned as soon as the candidates certify: at the
+    first point past R, and after every later step that changes them.  The
+    walk stops uncertified when the footprint outgrows (|R| + |phi1|) // 2
+    (no pattern within the radius gets there, as d* <= |R| + 1), when no
+    pair can vote, or past twice the largest footprint weight; the raw
+    iteration basis is then returned, and the verdict left to downstream
+    consistency checks.
     """
     field, order, q = spec.field, spec.order, spec.field.q
     syndrome = {tuple(a): v for a, v in syndrome.items()}
@@ -422,38 +393,43 @@ def bms(spec: CodeSpec, syndrome: dict, init: GroebnerBasis | None = None, phi1=
         raise CodeSpecError(
             "syndrome region must be an initial segment of the monomial order"
         )
-    region = sorted(spec.r_set, key=order.key)
-    F, delta = _sakata_core(field, order, syndrome.__getitem__, region, init, phi1)
+    known: dict[tuple[int, ...], int] = {}
+    it = _Iteration(field, order, known.__getitem__, init, phi1)
+    walk = n0_walk(order)
+    for k in islice(walk, len(spec.r_set)):
+        known[k] = syndrome[k]
+        it.step(k)
 
-    cert = _first_certified(spec, syndrome, phi1, frozenset(delta))
-    if cert is not None:
-        return cert
-    F = sorted(F, key=lambda p: order.key(p[0]))
+    cap = (len(spec.r_set) + len(phi1)) // 2
+    last = 2 * max(order.weight(s) for s in spec.footprint)
+    changed = True
+    for k in walk:
+        if changed:
+            cert = _certified(spec, it)
+            if cert is not None:
+                return cert
+            if len(it.delta) > cap:
+                break
+        if order.weight(k) > last:
+            break
+        if k in spec.footprint:
+            value = _vote(spec, it, known, k)
+            if value is None:
+                break
+        else:
+            value = _from_normal_form(field, spec.pair_table.normal_form(k), known)
+        known[k] = value
+        changed = it.step(k)
+    it.revalidate()
+    F = sorted(it.F, key=lambda p: order.key(p[0]))
     return GroebnerBasis(
         field,
         order,
         q,
         tuple(Poly(field, f) for _t, f in F),
         tuple(t for t, _f in F),
-        frozenset(delta),
+        frozenset(it.delta),
     )
-
-
-def locator_oracle(spec: CodeSpec, syndrome: dict, phi1=()) -> GroebnerBasis | None:
-    """Independent locator search: no iteration, dense linear algebra only.
-
-    Enumerates candidate footprints (order ideals containing the erasure
-    footprint) by increasing size up to the decoding radius and returns the
-    first certified basis; None when nothing within the radius certifies.
-    Agrees with bms() whenever the correctability bound holds.
-    """
-    field, order = spec.field, spec.order
-    syndrome = {tuple(a): v for a, v in syndrome.items()}
-    phi1 = tuple(tuple(p) for p in phi1)
-    base = frozenset(
-        vanishing_ideal_gb(field, order, phi1).footprint if phi1 else ()
-    )
-    return _first_certified(spec, syndrome, phi1, base)
 
 
 # -- the decoding pipeline

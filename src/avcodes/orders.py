@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 LT, EQ, GT = -1, 0, 1
 
@@ -89,19 +89,22 @@ def enumerate_order(order: MonomialOrder, q: int, limit: int | None = None):
     yield from pts
 
 
-def n0_prefix(order: MonomialOrder, count: int) -> list[tuple[int, ...]]:
-    """The first `count` vectors of N_0^N in increasing order."""
+def n0_walk(order: MonomialOrder):
+    """Every vector of N_0^N, in increasing order (an endless generator)."""
     n = order.nvars
     start = (0,) * n
     heap = [(order.key(start), start)]
     seen = {start}
-    out: list[tuple[int, ...]] = []
-    while heap and len(out) < count:
+    while heap:
         _, v = heapq.heappop(heap)
-        out.append(v)
+        yield v
         for i in range(n):
             w = v[:i] + (v[i] + 1,) + v[i + 1 :]
             if w not in seen:
                 seen.add(w)
                 heapq.heappush(heap, (order.key(w), w))
-    return out
+
+
+def n0_prefix(order: MonomialOrder, count: int) -> list[tuple[int, ...]]:
+    """The first `count` vectors of N_0^N in increasing order."""
+    return list(islice(n0_walk(order), count))

@@ -26,15 +26,15 @@ from avcodes.codes import (
     encode_systematic,
     feng_rao_bound,
     hermitian_preset,
-    min_distance_bruteforce,
     random_codeword,
     rs_preset,
 )
-from avcodes.decoder import bms, decode, locator_oracle, syndrome_array
+from avcodes.decoder import bms, decode, syndrome_array
 from avcodes.demos import transcript
 from avcodes.groebner import vanishing_ideal_gb
 from avcodes.recurrence import c_inverse, c_map, ev, extend, include, restrict_a
 from avcodes.transform import dft, domain_points, idft
+from reference import locator_oracle, min_distance_bruteforce
 
 # pinned reed-solomon walkthrough rows over GF(11)
 RS_INFO = [1, 7, 3, 2, 0, 5]

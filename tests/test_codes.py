@@ -13,7 +13,6 @@ from avcodes.codes import (
     hermitian_preset,
     is_codeword,
     make_code,
-    min_distance_bruteforce,
     parity_check,
     random_codeword,
     rs_preset,
@@ -22,6 +21,7 @@ from avcodes.codes import (
 from avcodes.field import build_field, count_ops
 from avcodes.orders import MonomialOrder
 from avcodes.transform import domain_points, dot
+from reference import min_distance_bruteforce
 
 SYS_INFO = [1, 7, 3, 2, 0, 5]
 SYS_CODEWORD = [2, 9, 0, 4, 1, 7, 3, 2, 0, 5]
